@@ -16,6 +16,7 @@ from .clickstats import (
     custom_click_distribution,
     device_multi_photon_content,
     fock_click_distribution,
+    fock_click_matrix,
     infer_mu,
     multi_photon_content,
     poisson_click_distribution,
@@ -68,6 +69,7 @@ __all__ = [
     "empirical_click_distribution",
     "false_cm_bound",
     "fock_click_distribution",
+    "fock_click_matrix",
     "ideal_entropy",
     "infer_mu",
     "infer_t0",

@@ -82,6 +82,9 @@ def _load(args) -> RunConfig:
         cfg.reference_plane = args.reference_plane
     if getattr(args, "mu", None) is not None:
         cfg.source = PhotonSource.poissonian(args.mu)
+    cfg.check("command line")
+    if getattr(args, "n_channels", 1) < 1:
+        raise ConfigError(f"--n-channels must be at least 1, got {args.n_channels}")
     return cfg
 
 

@@ -16,13 +16,6 @@ import numpy as np
 from .device import ChannelProfile
 from .errors import DegenerateDeviceError, DomainError, ParameterError, UndefinedContentError
 
-#: Below this photon number the exact multiset enumeration is used (when the
-#: outcome count stays reasonable); above it the sequential-binomial dynamic
-#: program takes over.  Both paths are exact; equality at the boundary is
-#: covered by tests.
-ENUMERATION_MAX_PHOTONS = 12
-_ENUMERATION_MAX_OUTCOMES = 200_000
-
 
 @dataclass(frozen=True)
 class PhotonSource:
@@ -134,79 +127,52 @@ def poisson_click_distribution(mu: float, profile: ChannelProfile) -> ClickDistr
     return ClickDistribution(p)
 
 
-def _fock_click_dp(n: int, h: np.ndarray) -> np.ndarray:
-    """Distinct-channel click pmf for an n-photon pulse, exact.
+def binomial_matrix(size: int, p: float, t: float = 1.0) -> np.ndarray:
+    """M[n, j] = C(n, j) p^(n-j) t^j for 0 <= j <= n < size, else 0.
 
-    Processes channels in order; conditioned on the photons not captured by
-    earlier channels, the count in channel j is binomial with the
-    renormalized probability h_j / (1 - sum of earlier h).  The state keeps
-    (photons remaining, channels clicked so far).
+    Each entry is exponentiated from its logarithm, so C(n, j) never
+    overflows as n! does, and 0^0 = 1.
     """
-    N = h.size
-    # dp[nr, m] = probability of nr photons left and m channels clicked
-    dp = np.zeros((n + 1, N + 1))
-    dp[n, 0] = 1.0
-    rem = 1.0
-    for hj in h:
-        pj = 0.0 if rem <= 0.0 else min(hj / rem, 1.0)
-        rem -= hj
-        new = np.zeros_like(dp)
-        for nr in range(n + 1):
-            col = dp[nr]
-            if not col.any():
-                continue
-            # binomial pmf over the count c captured by this channel
-            for c_cnt in range(nr + 1):
-                b = math.comb(nr, c_cnt) * pj ** c_cnt * (1.0 - pj) ** (nr - c_cnt)
-                if b == 0.0:
-                    continue
-                if c_cnt == 0:
-                    new[nr] += col * b
-                else:
-                    new[nr - c_cnt, 1:] += col[:-1] * b
-        dp = new
-    return dp.sum(axis=0)
+    n = np.arange(size)
+    log_fact = np.array([math.lgamma(k + 1.0) for k in n])
+    d = n[:, None] - n[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log = (log_fact[:, None] - log_fact[None, :] - log_fact[np.abs(d)]
+               + np.where(d == 0, 0.0, d * np.log(p)) + n * math.log(t))
+    return np.exp(np.where(d >= 0, log, -np.inf))
 
 
-def _fock_click_enum(n: int, h: np.ndarray) -> np.ndarray:
-    """Distinct-channel click pmf by explicit multiset enumeration.
+def fock_click_matrix(n_max: int, profile: ChannelProfile) -> np.ndarray:
+    """Exact distinct-channel click pmfs P[n, m] for n = 0..n_max photons.
 
-    Sums multinomial weights over all occupation patterns of n photons in
-    the N channels plus a loss bin.  Only viable for small n and N.
+    Each photon independently lands in channel k with probability h_k or is
+    lost with probability q = 1 - sum(h).  G[n, m] sums the weights of all
+    routings of n photons over the channels seen so far that leave m of them
+    occupied; adding channel k moves n - j >= 1 of the photons into it, with
+    weight C(n, n-j) h_k^(n-j).  The loss bin is folded in last.  Every term
+    is nonnegative, so nothing cancels.  Row n is zero beyond m = n.
     """
-    N = h.size
-    q_lost = 1.0 - h.sum()
-    out = np.zeros(N + 1)
-
-    def recurse(j: int, left: int, weight: float, clicked: int) -> None:
-        if j == N:
-            out[clicked] += weight * q_lost ** left
-            return
-        for c_cnt in range(left + 1):
-            w = weight * math.comb(left, c_cnt) * h[j] ** c_cnt
-            if w == 0.0 and c_cnt > 0:
-                continue
-            recurse(j + 1, left - c_cnt, w, clicked + (1 if c_cnt else 0))
-
-    recurse(0, n, 1.0, 0)
-    return out
+    if n_max < 0 or int(n_max) != n_max:
+        raise ParameterError(f"n_max must be a nonnegative integer, got {n_max}")
+    size = int(n_max) + 1
+    h = profile.h
+    q = 1.0 - float(h.sum())
+    if q < -1e-12:
+        raise ParameterError(f"channel transmissions sum to {1.0 - q!r} > 1")
+    G = np.zeros((size, h.size + 1))
+    G[0, 0] = 1.0
+    for h_k in h:
+        G[:, 1:] += (binomial_matrix(size, h_k) - np.eye(size)) @ G[:, :-1]
+    return binomial_matrix(size, max(q, 0.0)) @ G
 
 
 def fock_click_distribution(n: int, profile: ChannelProfile) -> ClickDistribution:
-    """Exact distinct-channel click pmf for an n-photon Fock input.
-
-    Each photon independently lands in channel k with probability h_k or is
-    lost; p_click[m] = 0 for m > n.
+    """Exact distinct-channel click pmf for an n-photon Fock input: row n of
+    ``fock_click_matrix``.  p_click[m] = 0 for m > n.
     """
     if n < 0 or int(n) != n:
         raise ParameterError(f"n must be a nonnegative integer, got {n}")
-    n = int(n)
-    h = profile.h
-    if n <= ENUMERATION_MAX_PHOTONS and math.comb(n + h.size, h.size) <= _ENUMERATION_MAX_OUTCOMES:
-        p = _fock_click_enum(n, h)
-    else:
-        p = _fock_click_dp(n, h)
-    return ClickDistribution(p)
+    return ClickDistribution(fock_click_matrix(int(n), profile)[-1])
 
 
 def custom_click_distribution(source: PhotonSource,
@@ -214,11 +180,7 @@ def custom_click_distribution(source: PhotonSource,
                               n_max: int | None = None) -> ClickDistribution:
     """Click pmf for an arbitrary source: Fock mixture with source weights."""
     pmf = source.pmf_array(n_max)
-    out = np.zeros(profile.n_channels + 1)
-    for n, w in enumerate(pmf):
-        if w == 0.0:
-            continue
-        out += w * fock_click_distribution(n, profile).p_click
+    out = pmf @ fock_click_matrix(pmf.size - 1, profile)
     total = out.sum()
     if total <= 0.0:
         raise ParameterError("source pmf carries no mass within the truncation")

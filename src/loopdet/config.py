@@ -34,8 +34,10 @@ Grammar::
     path = out.csv
     reference_plane = input   # input | detected
 
-Unknown sections or keys are rejected.  All values are range-checked while
-the device parameters are constructed.
+Unknown sections or keys are rejected.  ``seed``, ``n_trials``, ``n_bins``,
+``workers``, ``max_channels`` and ``n`` take integer literals only.  The seed
+must lie in [0, 2**64) and ``workers`` must be at least 1; all other values
+are range-checked while the device parameters are constructed.
 """
 
 from __future__ import annotations
@@ -76,6 +78,22 @@ class RunConfig:
     out_path: str | None = None
     reference_plane: str = "input"
 
+    def check(self, where) -> None:
+        """Reject a seed outside the uint64 key of the Monte Carlo generator
+        and a worker count below 1."""
+        if self.seed is not None and not 0 <= self.seed < 2 ** 64:
+            raise ConfigError(f"{where}: seed must lie in [0, 2**64), got {self.seed}")
+        if self.workers < 1:
+            raise ConfigError(f"{where}: workers must be at least 1, got {self.workers}")
+
+
+def _get_int(section, key, line_context):
+    try:
+        return int(section[key])
+    except ValueError as exc:
+        raise ConfigError(f"{line_context}: {key} = {section[key]!r} "
+                          "is not an integer") from exc
+
 
 def _get_float(section, key, line_context):
     try:
@@ -110,17 +128,17 @@ def load_config(path) -> RunConfig:
     if parser.has_section("simulation"):
         sim = parser["simulation"]
         if "seed" in sim:
-            cfg.seed = int(_get_float(sim, "seed", path))
+            cfg.seed = _get_int(sim, "seed", path)
         if "n_trials" in sim:
-            cfg.n_trials = int(_get_float(sim, "n_trials", path))
+            cfg.n_trials = _get_int(sim, "n_trials", path)
         if "n_bins" in sim:
-            cfg.n_bins = int(_get_float(sim, "n_bins", path))
+            cfg.n_bins = _get_int(sim, "n_bins", path)
         if "time_offset_ns" in sim:
             cfg.time_offset_ns = _get_float(sim, "time_offset_ns", path)
         if "workers" in sim:
-            cfg.workers = int(_get_float(sim, "workers", path))
+            cfg.workers = _get_int(sim, "workers", path)
         if "max_channels" in sim:
-            cfg.max_channels = int(_get_float(sim, "max_channels", path))
+            cfg.max_channels = _get_int(sim, "max_channels", path)
     if parser.has_section("output"):
         out = parser["output"]
         if "format" in out:
@@ -134,6 +152,7 @@ def load_config(path) -> RunConfig:
                 raise ConfigError(
                     f"{path}: reference_plane must be input or detected")
             cfg.reference_plane = out["reference_plane"]
+    cfg.check(path)
     return cfg
 
 
@@ -170,7 +189,7 @@ def _parse_source(section, path) -> PhotonSource:
     if kind == "fock":
         if "n" not in section:
             raise ConfigError(f"{path}: fock source needs n")
-        return PhotonSource.fock(int(_get_float(section, "n", path)))
+        return PhotonSource.fock(_get_int(section, "n", path))
     if kind == "custom":
         if "pmf" not in section:
             raise ConfigError(f"{path}: custom source needs pmf")

@@ -17,11 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clickstats import (
-    PhotonSource,
-    fock_click_distribution,
-    poisson_truncation,
-)
+from .clickstats import PhotonSource, binomial_matrix, poisson_truncation
 from .device import ChannelProfile, DeviceParams
 from .errors import NoAcceptanceError, ParameterError
 
@@ -29,19 +25,29 @@ from .errors import NoAcceptanceError, ParameterError
 ACCEPT_RULES = ("exactly-one", "one-or-more", "first-channel-only")
 
 
-def acceptance_probability(rule: str, n: int, profile: ChannelProfile) -> float:
-    """P(herald accepted | n photons into the herald arm)."""
+def acceptance_probability(rule: str, n, profile: ChannelProfile):
+    """P(herald accepted | n photons into the herald arm).
+
+    ``n`` is a photon number or an array of them; the result has its shape.
+    With q = 1 - sum(h) the probability that a photon is lost, the rules are
+    exactly-one: sum_k [(q + h_k)^n - q^n], one-or-more: 1 - q^n, and
+    first-channel-only: (q + h_1)^n - q^n.
+    """
+    n = np.asarray(n)
+    if np.any(n < 0) or np.any(n % 1):
+        raise ParameterError(f"n must hold nonnegative integers, got {n}")
     h = profile.h
-    total = float(h.sum())
+    lost = max(1.0 - float(h.sum()), 0.0)
     if rule == "exactly-one":
-        return fock_click_distribution(n, profile).p1
-    if rule == "one-or-more":
-        return 1.0 - (1.0 - total) ** n
-    if rule == "first-channel-only":
-        # Every photon lost or in channel 1, with at least one in channel 1.
-        lost = 1.0 - total
-        return (lost + float(h[0])) ** n - lost ** n
-    raise ParameterError(f"unknown accept rule {rule!r}; choose from {ACCEPT_RULES}")
+        # All photons in channel k or lost, at least one in channel k.
+        accept = ((lost + h) ** n[..., None] - lost ** n[..., None]).sum(axis=-1)
+    elif rule == "one-or-more":
+        accept = 1.0 - lost ** n
+    elif rule == "first-channel-only":
+        accept = (lost + float(h[0])) ** n - lost ** n
+    else:
+        raise ParameterError(f"unknown accept rule {rule!r}; choose from {ACCEPT_RULES}")
+    return float(accept) if accept.ndim == 0 else accept
 
 
 @dataclass(frozen=True)
@@ -57,15 +63,7 @@ def _thin_pmf(pmf: np.ndarray, transmission: float) -> np.ndarray:
     """Binomial loss applied to a photon-number pmf."""
     if transmission >= 1.0:
         return pmf
-    n_max = pmf.size - 1
-    out = np.zeros_like(pmf)
-    for n, w in enumerate(pmf):
-        if w == 0.0:
-            continue
-        for m in range(n + 1):
-            out[m] += w * math.comb(n, m) * transmission ** m \
-                * (1.0 - transmission) ** (n - m)
-    return out
+    return pmf @ binomial_matrix(pmf.size, 1.0 - transmission, transmission)
 
 
 def _content(pmf: np.ndarray) -> float:
@@ -94,8 +92,7 @@ def postselect(source: PhotonSource, herald_profile: ChannelProfile,
                  else None)
     pmf = source.pmf_array(n_max)
     if acceptance is None:
-        accept = np.array([acceptance_probability(rule, n, herald_profile)
-                           for n in range(pmf.size)])
+        accept = acceptance_probability(rule, np.arange(pmf.size), herald_profile)
     else:
         accept = np.asarray(acceptance, dtype=float)
         if accept.size < pmf.size:
@@ -150,7 +147,12 @@ def wm_curve(mu_grid, herald_profile: ChannelProfile,
              rule: str = "exactly-one",
              signal_transmission: float = 1.0,
              acceptance=None) -> list[dict]:
-    """Postselection summary for each mu; failed points become NaN rows."""
+    """Postselection summary for each mu.
+
+    A mu at which the rule never fires (mu = 0) becomes a NaN row; any other
+    error, such as an ``acceptance`` table shorter than the Poisson cut-off,
+    propagates.
+    """
     rows = []
     for mu in mu_grid:
         row = {"mu": float(mu)}
@@ -160,7 +162,7 @@ def wm_curve(mu_grid, herald_profile: ChannelProfile,
                              acceptance=acceptance)
             row.update(cm_in=res.cm_in, cm_out=res.cm_out, w_M=res.w_M,
                        herald_rate=res.herald_rate)
-        except (NoAcceptanceError, ParameterError):
+        except NoAcceptanceError:
             row.update(cm_in=math.nan, cm_out=math.nan, w_M=math.nan,
                        herald_rate=math.nan)
         rows.append(row)

@@ -82,6 +82,35 @@ class TestConfigFiles:
         with pytest.raises(ConfigError):
             load_config(tmp_path / "nope.ini")
 
+    def test_integer_keys_parsed_exactly(self, tmp_path):
+        # 2**53 + 1 does not survive a trip through float.
+        p = tmp_path / "run.ini"
+        p.write_text("[simulation]\nseed = 9007199254740993\n"
+                     "n_trials = 123456789\nmax_channels = 64\n")
+        cfg = load_config(p)
+        assert (cfg.seed, cfg.n_trials, cfg.max_channels) == \
+            (9007199254740993, 123456789, 64)
+
+    @pytest.mark.parametrize("section,key", [
+        ("simulation", "seed"), ("simulation", "n_trials"),
+        ("simulation", "n_bins"), ("simulation", "workers"),
+        ("simulation", "max_channels"), ("source", "n")])
+    def test_non_integer_keys_rejected(self, tmp_path, section, key):
+        p = tmp_path / "bad.ini"
+        extra = "kind = fock\n" if section == "source" else ""
+        p.write_text(f"[{section}]\n{extra}{key} = 1.7\n")
+        with pytest.raises(ConfigError, match="not an integer"):
+            load_config(p)
+
+    @pytest.mark.parametrize("line", [
+        "seed = -1", "seed = 18446744073709551616", "workers = 0",
+        "workers = -3"])
+    def test_out_of_range_keys_rejected(self, tmp_path, line):
+        p = tmp_path / "bad.ini"
+        p.write_text(f"[simulation]\n{line}\n")
+        with pytest.raises(ConfigError):
+            load_config(p)
+
 
 class TestChannelsCommand:
     def test_table(self, capsys, tmp_path):
@@ -112,6 +141,14 @@ class TestChannelsCommand:
         assert code == EXIT_OK
         data = json.loads(out.read_text())
         assert data[0]["k"] == 1
+
+    @pytest.mark.parametrize("command", [
+        ["channels"], ["cm-curve", "--mu-grid", "1"],
+        ["postselect", "--mu-grid", "1"]])
+    def test_no_channels_is_usage_error(self, capsys, command):
+        code, _, err = run(capsys, *command, "--n-channels", "0")
+        assert code == EXIT_CONFIG
+        assert "--n-channels" in err
 
     def test_bad_sweep_grid(self, capsys):
         code, _, err = run(capsys, "channels", "--r-sweep", "oops")
@@ -209,6 +246,31 @@ class TestSimulateTofCommand:
         code, _, err = run(capsys, "simulate-tof", "--seed", "1")
         assert code == EXIT_CONFIG
         assert "source" in err
+
+    @pytest.mark.parametrize("option", [
+        ["--seed", "18446744073709551616"], ["--seed", "-1"],
+        ["--workers", "0"], ["--workers", "-3"]])
+    def test_out_of_range_option_is_usage_error(self, capsys, tmp_path, option):
+        code, _, err = run(capsys, "simulate-tof", "--seed", "1", "--mu", "1.0",
+                           "--trials", "10", "--out", str(tmp_path / "tof.csv"),
+                           *option)
+        assert code == EXIT_CONFIG
+        assert option[0][2:] in err
+
+    def test_out_of_range_ini_seed_is_usage_error(self, capsys, tmp_path):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[simulation]\nseed = 18446744073709551616\n")
+        code, _, err = run(capsys, "simulate-tof", "--config", str(ini),
+                           "--mu", "1.0", "--trials", "10",
+                           "--out", str(tmp_path / "tof.csv"))
+        assert code == EXIT_CONFIG
+        assert "seed" in err
+
+    def test_largest_seed_runs(self, capsys, tmp_path):
+        code, _, _ = run(capsys, "simulate-tof", "--seed", str(2 ** 64 - 1),
+                         "--mu", "1.0", "--trials", "10",
+                         "--out", str(tmp_path / "tof.csv"))
+        assert code == EXIT_OK
 
     def test_config_file_drives_run(self, capsys, tmp_path):
         ini = tmp_path / "run.ini"

@@ -23,7 +23,7 @@ from loopdet import (
     normalized_channels,
     total_transmission,
 )
-from loopdet.clickstats import _fock_click_dp, _fock_click_enum
+from loopdet.clickstats import fock_click_matrix, poisson_truncation
 from loopdet.errors import (
     DegenerateDeviceError,
     DomainError,
@@ -46,6 +46,33 @@ def brute_force_fock(n, h):
         w = math.prod(probs[o] for o in routing)
         clicked = len(set(o for o in routing if o < h.size))
         pmf[clicked] += w
+    return pmf
+
+
+def multiset_fock(n, h):
+    """Oracle: sum multinomial weights over the occupation patterns of n
+    photons in N channels plus a loss bin."""
+    h = np.asarray(h, dtype=float)
+    lost = 1.0 - h.sum()
+    pmf = np.zeros(h.size + 1)
+
+    def recurse(k, left, weight, clicked):
+        if k == h.size:
+            pmf[clicked] += weight * lost ** left
+            return
+        for c in range(left + 1):
+            recurse(k + 1, left - c, weight * math.comb(left, c) * h[k] ** c,
+                    clicked + (c > 0))
+
+    recurse(0, n, 1.0, 0)
+    return pmf
+
+
+def poisson_binomial(c):
+    """Oracle: number of successes among independent events of probability c_k."""
+    pmf = np.array([1.0])
+    for ck in c:
+        pmf = np.convolve(pmf, [1.0 - ck, ck])
     return pmf
 
 
@@ -82,17 +109,60 @@ class TestFockClickDistribution:
             got = fock_click_distribution(n, prof).p_click
             assert got == pytest.approx(oracle, abs=1e-12)
 
-    def test_dp_and_enumeration_agree_at_boundary(self, rng):
-        # Both exact paths must coincide where the dispatch switches.
-        for n in (11, 12, 13, 14):
+    def test_matrix_rows_match_multiset_oracle(self, rng):
+        for _ in range(3):
             h = rng.uniform(0, 0.2, size=5)
-            assert _fock_click_dp(n, h) == pytest.approx(
-                _fock_click_enum(n, h), abs=1e-12)
+            prof = ChannelProfile(h, 0.0)
+            P = fock_click_matrix(14, prof)
+            for n in range(15):
+                oracle = multiset_fock(n, h)
+                assert P[n] == pytest.approx(oracle, abs=1e-12)
+                assert fock_click_distribution(n, prof).p_click == pytest.approx(
+                    oracle, abs=1e-12)
 
-    def test_large_photon_number_runs_on_dp(self, ref_params):
-        prof = channel_transmissions(ref_params, 30)
-        d = fock_click_distribution(60, prof)
-        assert d.p_click.sum() == pytest.approx(1.0, abs=1e-9)
+    def test_rows_normalised_and_triangular_up_to_large_n(self, ref_params):
+        # At n = 141 the terms C(n, j) h^(n-j) span hundreds of orders of
+        # magnitude; every row must still be a pmf.
+        n_max = poisson_truncation(50.0)
+        P = fock_click_matrix(n_max, channel_transmissions(ref_params, 30))
+        assert P.shape == (n_max + 1, 31)
+        assert np.all(P >= 0.0)
+        assert P.sum(axis=1) == pytest.approx(np.ones(n_max + 1), abs=1e-12)
+        assert np.all(np.triu(P, k=1) == 0.0)
+
+    def test_poisson_mixture_matches_poisson_binomial(self, ref_params):
+        # Poisson input thins into independent channels, so the Fock mixture
+        # must equal the Poisson-binomial of 1 - exp(-mu h_k).
+        prof = channel_transmissions(ref_params, 15).truncated(15)
+        for mu in (0.5, 4.26, 20.0, 50.0):
+            got = custom_click_distribution(PhotonSource.poissonian(mu), prof)
+            oracle = poisson_binomial(-np.expm1(-mu * prof.h))
+            assert np.abs(got.p_click - oracle).max() <= 1e-12
+
+    def test_empty_channel(self, rng):
+        # A channel with h_k = 0 never clicks: same pmf as without it.
+        h = rng.uniform(0, 0.3, size=3)
+        with_empty = fock_click_matrix(6, profile(h[0], 0.0, h[1], h[2]))
+        without = fock_click_matrix(6, profile(*h))
+        assert with_empty[:, :-1] == pytest.approx(without, abs=1e-15)
+        assert np.all(with_empty[:, -1] == 0.0)
+        for n in range(5):
+            assert with_empty[n] == pytest.approx(
+                brute_force_fock(n, [h[0], 0.0, h[1], h[2]]), abs=1e-12)
+
+    def test_lossless_profile(self):
+        # q = 0: every photon lands in some channel.
+        h = [0.5, 0.3, 0.2]
+        P = fock_click_matrix(6, profile(*h))
+        assert P[:, 0] == pytest.approx([1, 0, 0, 0, 0, 0, 0], abs=1e-15)
+        for n in range(6):
+            assert P[n] == pytest.approx(brute_force_fock(n, h), abs=1e-12)
+
+    def test_bad_inputs(self):
+        with pytest.raises(ParameterError):
+            fock_click_matrix(-1, profile(0.5))
+        with pytest.raises(ParameterError):
+            fock_click_matrix(3, profile(0.7, 0.6))
 
 
 class TestPoissonClickDistribution:

@@ -17,7 +17,8 @@ from loopdet import (
     source_multi_photon_content,
     wm_curve,
 )
-from loopdet.postselect import ACCEPT_RULES, acceptance_probability
+from loopdet.clickstats import fock_click_matrix
+from loopdet.postselect import ACCEPT_RULES, _thin_pmf, acceptance_probability
 from loopdet.errors import NoAcceptanceError, ParameterError
 
 
@@ -57,6 +58,24 @@ class TestAcceptanceProbability:
         for n in (1, 2, 5):
             assert acceptance_probability("exactly-one", n, prof) == \
                 pytest.approx(fock_click_distribution(n, prof).p1, rel=1e-12)
+        # The acceptance vector is column 1 of the click matrix.
+        accept = acceptance_probability("exactly-one", np.arange(61), prof)
+        assert accept == pytest.approx(fock_click_matrix(60, prof)[:, 1], abs=1e-12)
+
+    def test_array_matches_scalar_calls(self, ref_params):
+        prof = channel_transmissions(ref_params, 15).truncated(15)
+        ns = np.arange(30)
+        for rule in ACCEPT_RULES:
+            accept = acceptance_probability(rule, ns, prof)
+            assert accept.shape == ns.shape
+            assert accept == pytest.approx(
+                [acceptance_probability(rule, int(n), prof) for n in ns], abs=1e-15)
+
+    def test_bad_photon_number(self, ref_params):
+        prof = channel_transmissions(ref_params, 5)
+        for n in (-1, 1.5, [0, 1, -2]):
+            with pytest.raises(ParameterError):
+                acceptance_probability("one-or-more", n, prof)
 
     def test_first_channel_only_closed_form(self):
         prof = profile(0.3, 0.2)
@@ -134,6 +153,15 @@ class TestPostselect:
         override = postselect(src, prof, acceptance=accept)
         assert override.w_M == pytest.approx(base.w_M, rel=1e-12)
 
+    def test_thinning_matches_binomial_sum(self, rng):
+        pmf = rng.dirichlet(np.ones(25))
+        for t in (0.05, 0.5, 0.93):
+            oracle = np.zeros_like(pmf)
+            for n, w in enumerate(pmf):
+                for m in range(n + 1):
+                    oracle[m] += w * math.comb(n, m) * t ** m * (1 - t) ** (n - m)
+            assert _thin_pmf(pmf, t) == pytest.approx(oracle, abs=1e-15)
+
     def test_never_accepting_raises(self):
         with pytest.raises(NoAcceptanceError):
             postselect(PhotonSource.custom([1.0]), lossless_profile(0.5, 20))
@@ -158,6 +186,15 @@ class TestWmCurve:
         rows = wm_curve([0.0, 1.0], prof)
         assert math.isnan(rows[0]["w_M"])
         assert np.isfinite(rows[1]["w_M"])
+
+    def test_caller_errors_propagate(self, ref_params):
+        # Only a point where the rule never fires becomes a NaN row; a table
+        # shorter than the Poisson cut-off is the caller's error.
+        prof = channel_transmissions(ref_params, 15).truncated(15)
+        short = acceptance_probability("exactly-one", np.arange(21), prof)
+        for mu in (0.5, 2.0):
+            with pytest.raises(ParameterError, match="too short"):
+                wm_curve([mu], prof, acceptance=short)
 
     def test_monotone_in_mu_for_lossless(self):
         # Stronger pumping leaves more residual multi-photon content.
