@@ -32,7 +32,6 @@ from .device import channel_transmissions, normalized_channels, total_transmissi
 from .entropy import optimize_ratio
 from .errors import ConfigError, DataError, DomainError
 from .montecarlo import (
-    SimSettings,
     accumulate_histogram,
     histogram_to_csv,
     histogram_to_json,
@@ -66,20 +65,17 @@ def _write_table(rows: list[dict], columns: list[str], fmt: str, path) -> None:
             fh.write(text)
 
 
+#: Command-line option -> the RunConfig field it overrides.
+_OVERRIDES = (("seed", "seed"), ("trials", "n_trials"), ("workers", "workers"),
+              ("format", "out_format"), ("out", "out_path"),
+              ("reference_plane", "reference_plane"))
+
+
 def _load(args) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    if getattr(args, "trials", None) is not None:
-        cfg.n_trials = args.trials
-    if getattr(args, "workers", None) is not None:
-        cfg.workers = args.workers
-    if getattr(args, "format", None) is not None:
-        cfg.out_format = args.format
-    if getattr(args, "out", None) is not None:
-        cfg.out_path = args.out
-    if getattr(args, "reference_plane", None) is not None:
-        cfg.reference_plane = args.reference_plane
+    for arg, name in _OVERRIDES:
+        if getattr(args, arg, None) is not None:
+            setattr(cfg, name, getattr(args, arg))
     if getattr(args, "mu", None) is not None:
         cfg.source = PhotonSource.poissonian(args.mu)
     cfg.check("command line")
@@ -171,10 +167,8 @@ def cmd_simulate_tof(args) -> int:
         raise ConfigError("simulate-tof needs a seed (config [simulation] or --seed)")
     if cfg.source is None:
         raise ConfigError("simulate-tof needs a source (config [source] or --mu)")
-    settings = SimSettings(time_offset_ns=cfg.time_offset_ns, n_bins=cfg.n_bins,
-                           max_channels=cfg.max_channels)
     result = run_simulation(cfg.source, cfg.device, cfg.n_trials, cfg.seed,
-                            workers=cfg.workers, settings=settings)
+                            workers=cfg.workers, settings=cfg.sim)
     hist = accumulate_histogram(result)
     path = cfg.out_path or ("tof." + cfg.out_format)
     if cfg.out_format == "json":

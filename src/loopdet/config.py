@@ -27,6 +27,7 @@ Grammar::
     n_trials = 100000
     n_bins = 1024
     time_offset_ns = 100
+    max_channels = 512
     workers = 1
 
     [output]
@@ -34,34 +35,26 @@ Grammar::
     path = out.csv
     reference_plane = input   # input | detected
 
-Unknown sections or keys are rejected.  ``seed``, ``n_trials``, ``n_bins``,
-``workers``, ``max_channels`` and ``n`` take integer literals only.  The seed
-must lie in [0, 2**64) and ``workers`` must be at least 1; all other values
-are range-checked while the device parameters are constructed.
+Keys are the fields they set: ``[device]`` takes those of ``DeviceParams``
+and, for the coupler, ``CouplerSetting``; ``[simulation]`` takes ``seed``,
+``n_trials`` and ``workers`` of ``RunConfig`` and those of ``SimSettings``.
+Unknown sections or keys are rejected.  ``int`` fields and ``[source] n``
+take integer literals only, every other value a number.  The seed must lie
+in [0, 2**64) and ``workers`` must be at least 1; all other values are
+range-checked when the dataclasses are built, so at load time.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .clickstats import PhotonSource
 from .device import CouplerSetting, DeviceParams
 from .errors import ConfigError
-
-_DEVICE_KEYS = {
-    "t0", "theta", "tl", "eta", "r", "t13", "t14", "t23", "t24",
-    "dark_prob_per_bin", "afterpulse_prob", "afterpulse_decay_ns",
-    "dead_time_ns", "loop_delay_ns", "bin_width_ns", "duty_factor_q",
-}
-_SOURCE_KEYS = {"kind", "mu", "n", "pmf"}
-_SIM_KEYS = {"seed", "n_trials", "n_bins", "time_offset_ns", "workers",
-             "max_channels"}
-_OUTPUT_KEYS = {"format", "path", "reference_plane"}
-_SECTIONS = {"device": _DEVICE_KEYS, "source": _SOURCE_KEYS,
-             "simulation": _SIM_KEYS, "output": _OUTPUT_KEYS}
+from .montecarlo import SimSettings
 
 
 @dataclass
@@ -70,10 +63,8 @@ class RunConfig:
     source: PhotonSource | None = None
     seed: int | None = None
     n_trials: int = 100_000
-    n_bins: int = 1024
-    time_offset_ns: float = 100.0
     workers: int = 1
-    max_channels: int = 512
+    sim: SimSettings = field(default_factory=SimSettings)
     out_format: str = "csv"
     out_path: str | None = None
     reference_plane: str = "input"
@@ -87,28 +78,55 @@ class RunConfig:
             raise ConfigError(f"{where}: workers must be at least 1, got {self.workers}")
 
 
-def _get_int(section, key, line_context):
-    try:
-        return int(section[key])
-    except ValueError as exc:
-        raise ConfigError(f"{line_context}: {key} = {section[key]!r} "
-                          "is not an integer") from exc
+def _number(parse, what):
+    def get(section, key, path):
+        try:
+            return parse(section[key])
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {key} = {section[key]!r} is not {what}") from exc
+    return get
 
 
-def _get_float(section, key, line_context):
-    try:
-        return float(section[key])
-    except ValueError as exc:
-        raise ConfigError(f"{line_context}: {key} = {section[key]!r} "
-                          "is not a number") from exc
+_get_int = _number(int, "an integer")
+_get_float = _number(float, "a number")
+
+
+def _parsers(*classes) -> dict:
+    """Key -> parser for each field of the dataclasses.  Under postponed
+    annotations ``f.type`` is the annotation's text."""
+    return {f.name: _get_int if f.type == "int" else _get_float
+            for cls in classes for f in fields(cls)}
+
+
+_COUPLER_KEYS = tuple(f.name for f in fields(CouplerSetting))
+_RUN_KEYS = ("seed", "n_trials", "workers")
+#: [output] key -> (RunConfig field, accepted values or None for any).
+_OUTPUT = {"format": ("out_format", ("csv", "json")), "path": ("out_path", None),
+           "reference_plane": ("reference_plane", ("input", "detected"))}
+_SECTIONS = {
+    "device": {k: p for k, p in _parsers(DeviceParams, CouplerSetting).items()
+               if k != "coupler"},
+    "source": {f.name for f in fields(PhotonSource)},
+    "simulation": dict.fromkeys(_RUN_KEYS, _get_int) | _parsers(SimSettings),
+    "output": _OUTPUT,
+}
+
+
+def _values(parser, name, path) -> dict:
+    """Parsed values of the keys given in a [device] or [simulation] section."""
+    if not parser.has_section(name):
+        return {}
+    section = parser[name]
+    return {key: _SECTIONS[name][key](section, key, path) for key in section}
 
 
 def load_config(path) -> RunConfig:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                       interpolation=None)
     try:
         with open(path) as fh:
             parser.read_file(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
@@ -120,63 +138,33 @@ def load_config(path) -> RunConfig:
             if key not in _SECTIONS[section]:
                 raise ConfigError(f"{path}: unknown key {key!r} in [{section}]")
 
-    cfg = RunConfig()
-    if parser.has_section("device"):
-        cfg.device = _parse_device(parser["device"], path)
-    if parser.has_section("source"):
-        cfg.source = _parse_source(parser["source"], path)
-    if parser.has_section("simulation"):
-        sim = parser["simulation"]
-        if "seed" in sim:
-            cfg.seed = _get_int(sim, "seed", path)
-        if "n_trials" in sim:
-            cfg.n_trials = _get_int(sim, "n_trials", path)
-        if "n_bins" in sim:
-            cfg.n_bins = _get_int(sim, "n_bins", path)
-        if "time_offset_ns" in sim:
-            cfg.time_offset_ns = _get_float(sim, "time_offset_ns", path)
-        if "workers" in sim:
-            cfg.workers = _get_int(sim, "workers", path)
-        if "max_channels" in sim:
-            cfg.max_channels = _get_int(sim, "max_channels", path)
-    if parser.has_section("output"):
-        out = parser["output"]
-        if "format" in out:
-            if out["format"] not in ("csv", "json"):
-                raise ConfigError(f"{path}: format must be csv or json")
-            cfg.out_format = out["format"]
-        if "path" in out:
-            cfg.out_path = out["path"]
-        if "reference_plane" in out:
-            if out["reference_plane"] not in ("input", "detected"):
-                raise ConfigError(
-                    f"{path}: reference_plane must be input or detected")
-            cfg.reference_plane = out["reference_plane"]
+    device = _parse_device(_values(parser, "device", path), path)
+    source = (_parse_source(parser["source"], path)
+              if parser.has_section("source") else None)
+    sim = _values(parser, "simulation", path)
+    cfg = RunConfig(device=device, source=source,
+                    **{k: sim.pop(k) for k in _RUN_KEYS if k in sim},
+                    sim=SimSettings(**sim))
+    for key, value in (parser["output"].items()
+                       if parser.has_section("output") else ()):
+        name, accepted = _OUTPUT[key]
+        if accepted and value not in accepted:
+            raise ConfigError(f"{path}: {key} must be {' or '.join(accepted)}")
+        setattr(cfg, name, value)
     cfg.check(path)
     return cfg
 
 
-def _parse_device(section, path) -> DeviceParams:
-    kwargs = {}
-    for key in ("t0", "theta", "tl", "eta", "dark_prob_per_bin",
-                "afterpulse_prob", "afterpulse_decay_ns", "dead_time_ns",
-                "loop_delay_ns", "bin_width_ns", "duty_factor_q"):
-        if key in section:
-            kwargs[key] = _get_float(section, key, path)
-    full_keys = [k for k in ("t13", "t14", "t23", "t24") if k in section]
-    if "r" in section and full_keys:
+def _parse_device(kwargs, path) -> DeviceParams:
+    coupler = {k: kwargs.pop(k) for k in _COUPLER_KEYS if k in kwargs}
+    if "r" in coupler and len(coupler) > 1:
         raise ConfigError(f"{path}: give either r or the four t_ij, not both")
-    if full_keys:
-        if len(full_keys) != 4:
+    if "r" in coupler:
+        kwargs["coupler"] = CouplerSetting.ideal(coupler["r"])
+    elif coupler:
+        if len(coupler) != 4:
             raise ConfigError(f"{path}: all four of t13/t14/t23/t24 are required")
-        kwargs["coupler"] = CouplerSetting(
-            t13=_get_float(section, "t13", path),
-            t14=_get_float(section, "t14", path),
-            t23=_get_float(section, "t23", path),
-            t24=_get_float(section, "t24", path),
-        )
-    elif "r" in section:
-        kwargs["coupler"] = CouplerSetting.ideal(_get_float(section, "r", path))
+        kwargs["coupler"] = CouplerSetting(**coupler)
     return DeviceParams(**kwargs)
 
 

@@ -19,7 +19,7 @@ import heapq
 import json
 import csv
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -210,9 +210,8 @@ def _process_flagged_pulse(times, origins, ap_flags, ap_delays,
 
 
 def _simulate_batch(source: PhotonSource, params: DeviceParams,
-                    settings: SimSettings, seed: int, batch_index: int,
+                    settings: SimSettings, rng: np.random.Generator,
                     n_pulses: int):
-    rng = _batch_rng(seed, batch_index)
     window_ns = settings.n_bins * params.bin_width_ns
 
     n_photons = _draw_photon_numbers(source, rng, n_pulses)
@@ -289,7 +288,9 @@ def _simulate_batch(source: PhotonSource, params: DeviceParams,
 
 
 def _batch_worker(args):
-    return _simulate_batch(*args)
+    source, params, settings, seed, batch_index, n_pulses = args
+    return _simulate_batch(source, params, settings,
+                           _batch_rng(seed, batch_index), n_pulses)
 
 
 def run_simulation(source: PhotonSource, params: DeviceParams,
@@ -329,47 +330,12 @@ def simulate_pulse(source: PhotonSource, params: DeviceParams,
                    rng: np.random.Generator,
                    settings: SimSettings | None = None) -> PulseOutcome:
     """Single-pulse simulation drawing from the supplied random stream."""
-    settings = settings or SimSettings()
-    _, time, origin, n_photons = _simulate_batch_with_rng(
-        source, params, settings, rng)
+    _, time, origin, n_photons = _simulate_batch(
+        source, params, settings or SimSettings(), rng, 1)
     return PulseOutcome(click_times_ns=time,
                         click_channels=np.maximum(origin, 0),
                         n_photons_generated=int(n_photons[0]),
                         origins=origin)
-
-
-def _simulate_batch_with_rng(source, params, settings, rng):
-    """One-pulse variant of the batch engine using an external generator."""
-    n_photons = _draw_photon_numbers(source, rng, 1)
-    pulse_of_photon = np.zeros(int(n_photons[0]), dtype=np.int64)
-    ph_pulse, ph_channel = _route_photons(params, rng, pulse_of_photon,
-                                          settings.max_channels)
-    key = np.unique(ph_channel)
-    ph_channel = key.astype(np.int32)
-    ph_pulse = np.zeros(ph_channel.size, dtype=np.int64)
-    ph_time = settings.time_offset_ns + (ph_channel - 1) * params.loop_delay_ns
-
-    window_ns = settings.n_bins * params.bin_width_ns
-    n_dark = int(rng.binomial(settings.n_bins, params.dark_prob_per_bin))
-    dk_time = rng.uniform(0.0, window_ns, n_dark)
-
-    ph_ap_flag = rng.random(ph_channel.size) < params.afterpulse_prob
-    ph_ap_delay = rng.exponential(params.afterpulse_decay_ns, ph_channel.size)
-    dk_ap_flag = rng.random(n_dark) < params.afterpulse_prob
-    dk_ap_delay = rng.exponential(params.afterpulse_decay_ns, n_dark)
-
-    times = np.concatenate([ph_time, dk_time])
-    origins = np.concatenate([ph_channel,
-                              np.full(n_dark, ORIGIN_DARK, dtype=np.int32)])
-    ap_flags = np.concatenate([ph_ap_flag, dk_ap_flag])
-    ap_delays = np.concatenate([ph_ap_delay, dk_ap_delay])
-    accepted = _process_flagged_pulse(times, origins, ap_flags, ap_delays,
-                                      params.dead_time_ns)
-    time = np.array([a[0] for a in accepted])
-    origin = np.array([a[1] for a in accepted], dtype=np.int32)
-    order = np.argsort(time, kind="stable")
-    return (np.zeros(time.size, dtype=np.int64), time[order], origin[order],
-            n_photons)
 
 
 def accumulate_histogram(result: SimulationResult) -> TofHistogram:
@@ -442,7 +408,7 @@ def histogram_to_csv(hist: TofHistogram, path) -> None:
         writer.writerow(["bin_index", "time_ns", "count", "probability"])
         for i, count in enumerate(hist.counts):
             writer.writerow([i, f"{i * hist.bin_width_ns:.6g}", int(count),
-                             repr(count / hist.n_trials)])
+                             repr(float(count / hist.n_trials))])
 
 
 def histogram_to_json(hist: TofHistogram, path, *, seed: int | None = None,
@@ -455,20 +421,7 @@ def histogram_to_json(hist: TofHistogram, path, *, seed: int | None = None,
         "seed": seed,
     }
     if params is not None:
-        meta["params"] = {
-            "t0": params.t0, "theta": params.theta, "tl": params.tl,
-            "eta": params.eta,
-            "coupler": {"t13": params.coupler.t13, "t14": params.coupler.t14,
-                        "t23": params.coupler.t23, "t24": params.coupler.t24,
-                        "r": params.coupler.r},
-            "dark_prob_per_bin": params.dark_prob_per_bin,
-            "afterpulse_prob": params.afterpulse_prob,
-            "afterpulse_decay_ns": params.afterpulse_decay_ns,
-            "dead_time_ns": params.dead_time_ns,
-            "loop_delay_ns": params.loop_delay_ns,
-            "bin_width_ns": params.bin_width_ns,
-            "duty_factor_q": params.duty_factor_q,
-        }
+        meta["params"] = asdict(params)
     payload = {"meta": meta, "counts": [int(c) for c in hist.counts]}
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

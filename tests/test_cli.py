@@ -88,7 +88,7 @@ class TestConfigFiles:
         p.write_text("[simulation]\nseed = 9007199254740993\n"
                      "n_trials = 123456789\nmax_channels = 64\n")
         cfg = load_config(p)
-        assert (cfg.seed, cfg.n_trials, cfg.max_channels) == \
+        assert (cfg.seed, cfg.n_trials, cfg.sim.max_channels) == \
             (9007199254740993, 123456789, 64)
 
     @pytest.mark.parametrize("section,key", [
@@ -110,6 +110,82 @@ class TestConfigFiles:
         p.write_text(f"[simulation]\n{line}\n")
         with pytest.raises(ConfigError):
             load_config(p)
+
+    def test_undecodable_file(self, tmp_path):
+        p = tmp_path / "bad.ini"
+        p.write_bytes(b"[device]\nt0 = \xff\n")
+        with pytest.raises(ConfigError, match="cannot read"):
+            load_config(p)
+
+    def test_percent_sign_is_literal(self, tmp_path):
+        p = tmp_path / "run.ini"
+        p.write_text("[output]\npath = run%1.csv\n")
+        assert load_config(p).out_path == "run%1.csv"
+
+
+COMMANDS = {
+    "channels": ["channels", "--n-channels", "4"],
+    "sweep": ["channels", "--r-sweep", "0.3:0.5:3", "--n-channels", "3"],
+    "optimize": ["optimize"],
+    "cm-curve": ["cm-curve", "--mu-grid", "0.5,2"],
+    "simulate-tof": ["simulate-tof", "--seed", "1", "--mu", "1",
+                     "--trials", "10"],
+    "calibrate": ["calibrate", "--channels",
+                  "0.39,0.42,0.13,0.04,0.012,0.004,0.0013"],
+    "postselect": ["postselect", "--mu-grid", "0.5,2"],
+}
+
+
+def label_or_int(cell):
+    return cell if cell == "tail" else int(cell)
+
+
+#: Columns that are not floating-point numbers; every other column is.
+CELL_TYPES = {"k": label_or_int, "bin_index": int, "count": int}
+
+
+class TestCsvCells:
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_every_cell_parses_as_its_column_type(self, capsys, tmp_path,
+                                                  command):
+        out = tmp_path / "out.csv"
+        code, _, _ = run(capsys, *COMMANDS[command], "--out", str(out))
+        assert code == EXIT_OK
+        with open(out, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert rows
+        for row in rows:
+            assert len(row) == len(header)
+            for column, cell in zip(header, row):
+                CELL_TYPES.get(column, float)(cell)
+
+    def test_histogram_probability_is_count_over_trials(self, capsys,
+                                                        tmp_path):
+        out = tmp_path / "tof.csv"
+        code, _, _ = run(capsys, *COMMANDS["simulate-tof"], "--out", str(out))
+        assert code == EXIT_OK
+        rows = read_csv(out)
+        assert list(rows[0].values()) == ["0", "0", "0", "0.0"]
+        assert all(float(r["probability"]) == int(r["count"]) / 10
+                   for r in rows)
+
+
+class TestInvalidSimulationValues:
+    """SimSettings is built when the file is loaded, so an invalid
+    [simulation] value fails every command, like an invalid [device] one."""
+
+    @pytest.mark.parametrize("line", [
+        "n_bins = 0", "max_channels = 0", "time_offset_ns = -5"])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_domain_error_at_load(self, capsys, tmp_path, line, command):
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[simulation]\n{line}\n")
+        out = tmp_path / "out.csv"
+        code, _, err = run(capsys, *COMMANDS[command], "--config", str(ini),
+                           "--out", str(out))
+        assert code == EXIT_DOMAIN
+        assert "domain error" in err
+        assert not out.exists()
 
 
 class TestChannelsCommand:

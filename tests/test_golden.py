@@ -1,0 +1,126 @@
+"""Golden byte gate for the Monte Carlo stream.
+
+The reproducibility contract promises byte-identical output for a fixed
+seed at any worker count.  Reruns within one version of the code cannot
+show that a refactor changed the random stream; these SHA-256 digests,
+recorded from the engine as released, can.  A change that must alter the
+stream says so and updates the digests in the same change.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from loopdet import (
+    PhotonSource,
+    reference_device,
+    run_simulation,
+    simulate_pulse,
+)
+from loopdet.cli import main
+from loopdet.montecarlo import BATCH_SIZE
+
+#: Three batches, so that workers=2 runs through the process pool.
+TRIALS = 2 * BATCH_SIZE + 1000
+
+DEVICES = {
+    "noiseless": reference_device(dark_prob_per_bin=0.0, afterpulse_prob=0.0),
+    # Noise well above the reference, so that many pulses take the
+    # sequential dead-time / afterpulse path.
+    "noisy": reference_device(r=0.3, dark_prob_per_bin=2e-5,
+                              afterpulse_prob=0.05),
+}
+
+RUN_DIGESTS = {
+    ("noiseless", 3):
+        "ebf71c5d716d705751b22e5195395b3c551edb141ad874f723e92d6867485436",
+    ("noiseless", 2 ** 63 + 11):
+        "be272aa271141e67fd39951ff3b77bfd2b9e407a4c18e6a79961694a62154a49",
+    ("noisy", 3):
+        "d94e06a3b29a4587eb7eb12b72adc2d77e51d000b539f4e7a63e36205fff1d91",
+    ("noisy", 2 ** 63 + 11):
+        "2b828bc2b821fc58beda1ecf58c2cc8795dabc2575efdab65973c5c3d6d3905d",
+}
+
+PULSE_SOURCES = {
+    "poissonian": PhotonSource.poissonian(4.26),
+    "fock": PhotonSource.fock(5),
+    "custom": PhotonSource.custom(np.array([0.2, 0.3, 0.1, 0.4])),
+}
+
+PULSE_DIGESTS = {
+    ("noiseless", "poissonian"):
+        "f953bad953d11c8fd4d72f2369e0b2efdecc36e805e4510464c5b0b0b3278c02",
+    ("noisy", "poissonian"):
+        "3ff0060c31e4090b158f01fe916adf067c5c098357ea4fc32153ead5058cec70",
+    ("noisy", "fock"):
+        "29b0427a485c5d2a333fddfc7889d0954b8c9bbfaed085731dd9bcd8c75a8285",
+    ("noisy", "custom"):
+        "f80e19dce9b57a7dace7c63ce6373c230171813453653a243c64771f42625d6b",
+}
+
+JSON_DIGESTS = {
+    "ideal":
+        "fdd3398894e22d64564e845566b4476a55dcf762f611db1195b5b3730a87e1a2",
+    "four-tij":
+        "8b6e132731d1d5b3f7614e4eda5c4141aeb0ef17d319f9e0639861b0e9aec8fe",
+}
+
+
+def digest(*arrays) -> str:
+    """SHA-256 over the dtype, shape and bytes of each array in turn."""
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.ascontiguousarray(a)
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def run_digest(device: str, seed: int, workers: int) -> str:
+    res = run_simulation(PhotonSource.poissonian(2.13), DEVICES[device],
+                         TRIALS, seed, workers=workers)
+    return digest(res.pulse, res.time_ns, res.origin, res.n_photons)
+
+
+def pulse_digest(device: str, source: str, n_seeds: int = 200) -> str:
+    arrays = []
+    for seed in range(n_seeds):
+        out = simulate_pulse(PULSE_SOURCES[source], DEVICES[device],
+                             np.random.default_rng(seed))
+        arrays += [out.click_times_ns, out.click_channels, out.origins,
+                   np.array([out.n_photons_generated])]
+    return digest(*arrays)
+
+
+def json_digest(kind: str, tmp_path) -> str:
+    ini = tmp_path / "device.ini"
+    if kind == "ideal":
+        ini.write_text("[device]\nr = 0.4\ntl = 0.93\n")
+    else:
+        ini.write_text("[device]\nt13 = 0.45\nt14 = 0.5\nt23 = 0.52\n"
+                       "t24 = 0.44\ndark_prob_per_bin = 1e-5\n")
+    out = tmp_path / "tof.json"
+    code = main(["simulate-tof", "--config", str(ini), "--seed", "17",
+                 "--mu", "1.5", "--trials", "3000", "--format", "json",
+                 "--out", str(out)])
+    assert code == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("device,seed", sorted(RUN_DIGESTS))
+def test_run_simulation_bytes(device, seed):
+    expected = RUN_DIGESTS[device, seed]
+    assert run_digest(device, seed, workers=1) == expected
+    assert run_digest(device, seed, workers=2) == expected
+
+
+@pytest.mark.parametrize("device,source", sorted(PULSE_DIGESTS))
+def test_simulate_pulse_bytes(device, source):
+    assert pulse_digest(device, source) == PULSE_DIGESTS[device, source]
+
+
+@pytest.mark.parametrize("kind", sorted(JSON_DIGESTS))
+def test_simulate_tof_json_bytes(kind, tmp_path):
+    assert json_digest(kind, tmp_path) == JSON_DIGESTS[kind]
