@@ -7,8 +7,8 @@
     loopdet calibrate     loss calibration from measured channel probabilities
     loopdet postselect    heralded multi-photon reduction curve
 
-Exit codes: 0 success, 2 configuration/usage error, 3 model-domain error,
-4 data error.
+Exit codes: 0 success, 2 configuration/usage error or a file that cannot be
+opened, 3 model-domain error, 4 data error.
 """
 
 from __future__ import annotations
@@ -185,8 +185,7 @@ def cmd_calibrate(args) -> int:
     if args.input:
         H, sigma = read_channel_csv(args.input)
     elif args.channels:
-        H = np.array([float(x) for x in args.channels.split(",")])
-        sigma = None
+        H, sigma = _parse_grid(args.channels, "--channels"), None
     else:
         raise ConfigError("calibrate needs --input CSV or --channels list")
     result = calibrate_from_channels(H, T_over_eta=args.t_over_eta,
@@ -282,7 +281,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DomainError as exc:

@@ -32,8 +32,8 @@ class PhotonSource:
 
     @classmethod
     def poissonian(cls, mu: float) -> "PhotonSource":
-        if mu < 0:
-            raise ParameterError(f"mu must be >= 0, got {mu}")
+        if not 0 <= mu < math.inf:
+            raise ParameterError(f"mu must be finite and >= 0, got {mu}")
         return cls(kind="poissonian", mu=float(mu))
 
     @classmethod
@@ -47,8 +47,8 @@ class PhotonSource:
         pmf = np.asarray(pmf, dtype=float)
         if pmf.ndim != 1 or pmf.size == 0:
             raise ParameterError("pmf must be a nonempty 1-d sequence")
-        if np.any(pmf < 0):
-            raise ParameterError("pmf has negative entries")
+        if not np.all(pmf >= 0):
+            raise ParameterError("pmf has negative or NaN entries")
         if abs(pmf.sum() - 1.0) > 1e-9:
             raise ParameterError(f"pmf sums to {pmf.sum()!r}, not 1")
         return cls(kind="custom", pmf=pmf)

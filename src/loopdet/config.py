@@ -38,10 +38,11 @@ Grammar::
 Keys are the fields they set: ``[device]`` takes those of ``DeviceParams``
 and, for the coupler, ``CouplerSetting``; ``[simulation]`` takes ``seed``,
 ``n_trials`` and ``workers`` of ``RunConfig`` and those of ``SimSettings``.
-Unknown sections or keys are rejected.  ``int`` fields and ``[source] n``
-take integer literals only, every other value a number.  The seed must lie
-in [0, 2**64) and ``workers`` must be at least 1; all other values are
-range-checked when the dataclasses are built, so at load time.
+Unknown sections or keys, and any key under ``[DEFAULT]``, are rejected.
+``int`` fields and ``[source] n`` take integer literals only, every other
+value a number.  The seed must lie in [0, 2**64) and ``workers`` must be at
+least 1; all other values are range-checked when the dataclasses are built,
+so at load time (NaN fails every range check).
 """
 
 from __future__ import annotations
@@ -131,6 +132,8 @@ def load_config(path) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
 
+    if parser.defaults():
+        raise ConfigError(f"{path}: keys in [{parser.default_section}] are not accepted")
     for section in parser.sections():
         if section not in _SECTIONS:
             raise ConfigError(f"{path}: unknown section [{section}]")

@@ -101,13 +101,10 @@ class DeviceParams:
         for name in ("t0", "theta", "tl", "eta", "dark_prob_per_bin",
                      "afterpulse_prob", "duty_factor_q"):
             _check_unit_interval(name, getattr(self, name))
-        if self.dead_time_ns <= 0:
-            raise ParameterError("dead_time_ns must be positive")
-        if self.bin_width_ns <= 0:
-            raise ParameterError("bin_width_ns must be positive")
-        if self.afterpulse_decay_ns <= 0:
-            raise ParameterError("afterpulse_decay_ns must be positive")
-        if self.loop_delay_ns <= self.dead_time_ns:
+        for name in ("dead_time_ns", "bin_width_ns", "afterpulse_decay_ns"):
+            if not 0 < getattr(self, name) < math.inf:  # NaN fails too
+                raise ParameterError(f"{name} must be positive and finite")
+        if not self.loop_delay_ns > self.dead_time_ns:
             raise ParameterError(
                 "loop_delay_ns must exceed dead_time_ns "
                 f"({self.loop_delay_ns} <= {self.dead_time_ns})"

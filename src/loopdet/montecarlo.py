@@ -47,7 +47,7 @@ class SimSettings:
     def __post_init__(self) -> None:
         if self.n_bins < 1 or self.max_channels < 1:
             raise ParameterError("n_bins and max_channels must be >= 1")
-        if self.time_offset_ns < 0:
+        if not self.time_offset_ns >= 0:
             raise ParameterError("time_offset_ns must be >= 0")
 
 
@@ -68,7 +68,8 @@ class PulseOutcome:
 
 @dataclass(frozen=True)
 class SimulationResult:
-    """Flat event record of a full run: one row per registered click."""
+    """Flat event record of a full run: one row per registered click.
+    Invariant: the rows are sorted by (pulse, time, origin)."""
 
     params: DeviceParams
     settings: SimSettings
@@ -182,19 +183,24 @@ def _route_photons(params: DeviceParams, rng: np.random.Generator,
     return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int32))
 
 
+def _first_of_runs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Mask of the first row of each run of equal consecutive (a, b)."""
+    first = np.ones(a.size, dtype=bool)
+    first[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
+    return first
+
+
 def _process_flagged_pulse(times, origins, ap_flags, ap_delays,
                            dead_time: float) -> list[tuple[float, int]]:
     """Sequential dead-time / afterpulse processing of one pulse's candidate
-    clicks.  Candidates must be pre-sorted by time; afterpulse candidates are
-    injected on the fly.  Afterpulses never chain."""
-    order = np.argsort(times, kind="stable")
-    queue: list[tuple[float, int, int, bool, float]] = []
-    for seq, j in enumerate(order):
-        heapq.heappush(queue, (float(times[j]), 0, seq, bool(ap_flags[j]),
-                               float(ap_delays[j]), int(origins[j])))
+    clicks.  Candidates must be pre-sorted by time, which makes their list a
+    heap already; afterpulse candidates are injected on the fly.  Afterpulses
+    never chain."""
+    queue = [(t, 0, seq, f, d, o) for seq, (t, o, f, d) in enumerate(zip(
+        times.tolist(), origins.tolist(), ap_flags.tolist(), ap_delays.tolist()))]
     accepted: list[tuple[float, int]] = []
     last = -np.inf
-    seq = len(order)
+    seq = len(queue)
     while queue:
         t, _, _, ap_flag, ap_delay, origin = heapq.heappop(queue)
         if t - last < dead_time:
@@ -221,10 +227,11 @@ def _simulate_batch(source: PhotonSource, params: DeviceParams,
 
     # Merge photons arriving in the same channel of the same pulse: the
     # detector produces a single avalanche regardless of multiplicity.
-    key = ph_pulse * np.int64(settings.max_channels + 1) + ph_channel
-    key = np.unique(key)
-    ph_pulse = key // (settings.max_channels + 1)
-    ph_channel = (key % (settings.max_channels + 1)).astype(np.int32)
+    # Passes come out in channel order, so this sorts by (pulse, channel).
+    order = np.argsort(ph_pulse, kind="stable")
+    ph_pulse, ph_channel = ph_pulse[order], ph_channel[order]
+    first = _first_of_runs(ph_pulse, ph_channel)
+    ph_pulse, ph_channel = ph_pulse[first], ph_channel[first]
     ph_time = (settings.time_offset_ns
                + (ph_channel - 1) * params.loop_delay_ns)
 
@@ -251,14 +258,13 @@ def _simulate_batch(source: PhotonSource, params: DeviceParams,
     fast = ~flagged[ph_pulse]
     out_pulse = [ph_pulse[fast]]
     out_time = [ph_time[fast]]
-    out_origin = [ph_channel[fast].astype(np.int32)]
+    out_origin = [ph_channel[fast]]
 
     if flagged.any():
         cand_pulse = np.concatenate([ph_pulse[~fast], dk_pulse])
         cand_time = np.concatenate([ph_time[~fast], dk_time])
         cand_origin = np.concatenate(
-            [ph_channel[~fast].astype(np.int32),
-             np.full(dk_pulse.size, ORIGIN_DARK, dtype=np.int32)])
+            [ph_channel[~fast], np.full(dk_pulse.size, ORIGIN_DARK, dtype=np.int32)])
         cand_ap_flag = np.concatenate([ph_ap_flag[~fast], dk_ap_flag])
         cand_ap_delay = np.concatenate([ph_ap_delay[~fast], dk_ap_delay])
         order = np.lexsort((cand_time, cand_pulse))
@@ -267,18 +273,16 @@ def _simulate_batch(source: PhotonSource, params: DeviceParams,
                                  np.arange(n_pulses + 1, dtype=np.int64))
         t_s, o_s = cand_time[order], cand_origin[order]
         af_s, ad_s = cand_ap_flag[order], cand_ap_delay[order]
+        # A flagged pulse has at least one candidate, and its first one
+        # always registers.
         for p in np.nonzero(flagged)[0]:
             lo, hi = bounds[p], bounds[p + 1]
-            if lo == hi:
-                continue
             accepted = _process_flagged_pulse(
                 t_s[lo:hi], o_s[lo:hi], af_s[lo:hi], ad_s[lo:hi],
                 params.dead_time_ns)
-            if accepted:
-                out_pulse.append(np.full(len(accepted), p, dtype=np.int64))
-                out_time.append(np.array([a[0] for a in accepted]))
-                out_origin.append(np.array([a[1] for a in accepted],
-                                           dtype=np.int32))
+            out_pulse.append(np.full(len(accepted), p, dtype=np.int64))
+            out_time.append(np.array([a[0] for a in accepted]))
+            out_origin.append(np.array([a[1] for a in accepted], dtype=np.int32))
 
     pulse = np.concatenate(out_pulse)
     time = np.concatenate(out_time)
@@ -375,13 +379,15 @@ class EmpiricalClickDistribution:
         return self.distribution.pM
 
 
-def empirical_click_distribution(result: SimulationResult,
-                                 n_channels: int = 15) -> EmpiricalClickDistribution:
-    """Count distinct channel-window clicks per pulse.
+def window_clicks(result: SimulationResult,
+                  n_channels: int) -> tuple[np.ndarray, np.ndarray]:
+    """(pulse, channel) of each distinct accepted-window click.
 
-    A click is attributed to channel k when it falls within the accepted
-    window of width q * loop_delay centered on that channel's arrival time;
-    this is how noise clicks can masquerade as channel detections.
+    A click counts for channel k <= n_channels when it falls within the
+    window of width q * loop_delay centered on that channel's arrival time,
+    so noise clicks can masquerade as channel detections.  ``result`` is
+    time-ordered within a pulse, so clicks sharing a window are adjacent
+    and count once.
     """
     p = result.params
     s = result.settings
@@ -391,10 +397,16 @@ def empirical_click_distribution(result: SimulationResult,
     center = s.time_offset_ns + (k_near - 1) * p.loop_delay_ns
     in_window = ((np.abs(result.time_ns - center) <= half_width)
                  & (k_near >= 1) & (k_near <= n_channels))
-    key = result.pulse[in_window] * np.int64(n_channels + 1) + k_near[in_window]
-    key = np.unique(key)
-    clicks_per_pulse = np.bincount((key // (n_channels + 1)).astype(np.int64),
-                                   minlength=result.n_trials)
+    pulse, channel = result.pulse[in_window], k_near[in_window]
+    first = _first_of_runs(pulse, channel)
+    return pulse[first], channel[first]
+
+
+def empirical_click_distribution(result: SimulationResult,
+                                 n_channels: int = 15) -> EmpiricalClickDistribution:
+    """Pmf of the number of :func:`window_clicks` per pulse."""
+    pulse, _ = window_clicks(result, n_channels)
+    clicks_per_pulse = np.bincount(pulse, minlength=result.n_trials)
     pmf_counts = np.bincount(clicks_per_pulse, minlength=n_channels + 1)
     pmf = pmf_counts / float(result.n_trials)
     stderr = np.sqrt(pmf * (1.0 - pmf) / result.n_trials)

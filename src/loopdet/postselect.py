@@ -124,7 +124,7 @@ def herald_acceptance_from_mc(params: DeviceParams, n_max: int,
     Used instead of the analytic Fock statistics when dark counts and
     afterpulses in the herald arm should be taken into account.
     """
-    from .montecarlo import empirical_click_distribution, run_simulation
+    from .montecarlo import run_simulation, window_clicks
 
     if rule not in ACCEPT_RULES:
         raise ParameterError(f"unknown accept rule {rule!r}")
@@ -132,14 +132,14 @@ def herald_acceptance_from_mc(params: DeviceParams, n_max: int,
     for n in range(n_max + 1):
         result = run_simulation(PhotonSource.fock(n), params, n_trials,
                                 seed + n, workers=workers)
-        emp = empirical_click_distribution(result, n_channels=n_channels)
-        if rule == "exactly-one":
-            accept[n] = emp.p1
-        elif rule == "one-or-more":
-            accept[n] = 1.0 - emp.p0
-        else:  # first-channel-only needs the per-channel pattern
-            raise ParameterError(
-                "first-channel-only is not available on the Monte Carlo path")
+        pulse, channel = window_clicks(result, n_channels)
+        clicks = np.bincount(pulse, minlength=n_trials)
+        one = clicks == 1
+        if rule == "first-channel-only":
+            one[pulse[channel != 1]] = False
+        # one-or-more as 1 - P(0 clicks) rounds as the empirical 1 - p0 does
+        accept[n] = (1.0 - np.mean(clicks == 0) if rule == "one-or-more"
+                     else np.mean(one))
     return accept
 
 

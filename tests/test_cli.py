@@ -3,13 +3,16 @@ exit codes, reproducibility."""
 
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loopdet.cli import EXIT_CONFIG, EXIT_DATA, EXIT_DOMAIN, EXIT_OK, main
 from loopdet.config import load_config
 from loopdet.errors import ConfigError
+from loopdet.postselect import ACCEPT_RULES
 
 
 def run(capsys, *argv):
@@ -57,6 +60,21 @@ class TestConfigFiles:
         p.write_text("[device]\nt_zero = 0.9\n")
         with pytest.raises(ConfigError):
             load_config(p)
+
+    @pytest.mark.parametrize("text", ["[DEFAULT]\nbogus = 1\n",
+                                      "[DEFAULT]\nt0 = 0.5\n[device]\n"])
+    def test_default_section_keys_rejected(self, capsys, tmp_path, text):
+        p = tmp_path / "default.ini"
+        p.write_text(text)
+        with pytest.raises(ConfigError, match="DEFAULT"):
+            load_config(p)
+        code, _, err = run(capsys, "channels", "--config", str(p))
+        assert code == EXIT_CONFIG and "config error" in err
+
+    def test_empty_default_section_accepted(self, tmp_path):
+        p = tmp_path / "default.ini"
+        p.write_text("[DEFAULT]\n[device]\nt0 = 0.5\n")
+        assert load_config(p).device.t0 == 0.5
 
     def test_r_and_tij_conflict(self, tmp_path):
         p = tmp_path / "bad.ini"
@@ -175,7 +193,8 @@ class TestInvalidSimulationValues:
     [simulation] value fails every command, like an invalid [device] one."""
 
     @pytest.mark.parametrize("line", [
-        "n_bins = 0", "max_channels = 0", "time_offset_ns = -5"])
+        "n_bins = 0", "max_channels = 0", "time_offset_ns = -5",
+        "time_offset_ns = nan"])
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_domain_error_at_load(self, capsys, tmp_path, line, command):
         ini = tmp_path / "run.ini"
@@ -383,6 +402,14 @@ class TestCalibrateCommand:
         code, _, _ = run(capsys, "calibrate")
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("option", [["--input", "missing.csv"],
+                                        ["--channels", "0.4,x"]])
+    def test_unusable_input_is_config_error(self, capsys, tmp_path, option):
+        if option[0] == "--input":
+            option = ["--input", str(tmp_path / option[1])]
+        code, _, err = run(capsys, "calibrate", *option)
+        assert code == EXIT_CONFIG and "config error" in err
+
     def test_bad_csv_is_data_error(self, capsys, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("foo,bar\n1,2\n")
@@ -418,6 +445,20 @@ class TestPostselectCommand:
         code, _, _ = run(capsys, "postselect", "--mu-grid", ",")
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("command", [["postselect", "--mu-grid", "1,inf"],
+                                         ["cm-curve", "--mu-grid", "1,inf"],
+                                         [*COMMANDS["simulate-tof"], "--mu", "inf"]])
+    def test_infinite_mu_is_domain_error(self, capsys, tmp_path, command):
+        code, _, err = run(capsys, *command, "--out", str(tmp_path / "x.csv"))
+        assert code == EXIT_DOMAIN and "domain error" in err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("out", ["no-such-dir/out.csv", "."])
+    def test_unwritable_output_is_config_error(self, capsys, tmp_path, out):
+        code, _, err = run(capsys, "postselect", "--mu-grid", "1",
+                           "--out", str(tmp_path / out))
+        assert code == EXIT_CONFIG and "config error" in err
+
 
 class TestDivergentDeviceExitCode:
     def test_domain_error_exit(self, capsys, tmp_path):
@@ -427,3 +468,83 @@ class TestDivergentDeviceExitCode:
         code, _, err = run(capsys, "channels", "--config", str(ini))
         assert code == EXIT_DOMAIN
         assert "domain error" in err
+
+    @pytest.mark.parametrize("line", ["dead_time_ns = nan", "bin_width_ns = nan",
+                                      "bin_width_ns = inf"])
+    def test_non_finite_device_value(self, capsys, tmp_path, line):
+        ini = tmp_path / "nan.ini"
+        ini.write_text(f"[device]\n{line}\n")
+        out = tmp_path / "tof.csv"
+        code, _, err = run(capsys, *COMMANDS["simulate-tof"], "--config",
+                           str(ini), "--out", str(out))
+        assert code == EXIT_DOMAIN
+        assert "domain error" in err
+        assert not out.exists()
+
+
+NUMBERS = ["0", "1", "2", "-1", "0.5", "nan", "inf", "-inf", "1e400", "x", ""]
+GRIDS = ["0.5,2", "0:1:3", "0:1:-1", "1:0:2", "1,nan", "inf", "-1", "a:b:c", ","]
+#: Option -> values to draw.  ``--workers`` never exceeds 1 and
+#: ``--trials`` stays small, so that no example starts a process pool or
+#: runs a long simulation.
+OPTION_VALUES = {
+    "--config": ["good.ini", "nan.ini", "default.ini", "bytes.ini",
+                 "missing.ini"],
+    "--format": ["csv", "json", "xml"],
+    "--out": ["out.csv", "out.json", "no-such-dir/out.csv", "."],
+    "--seed": ["0", "3", "-1", "18446744073709551616", "x"],
+    "--trials": ["1", "20", "0", "-1", "x"],
+    "--workers": ["1", "0", "-1", "x"],
+    "--mu": NUMBERS, "--r": NUMBERS, "--t-over-eta": NUMBERS,
+    "--theta": NUMBERS, "--signal-transmission": NUMBERS,
+    "--n-channels": ["1", "3", "0", "-1", "x"],
+    "--r-sweep": GRIDS, "--mu-grid": GRIDS,
+    "--reference-plane": ["input", "detected", "x"],
+    "--input": ["channels.csv", "bad.csv", "missing.csv"],
+    "--channels": ["0.39,0.42,0.13,0.04,0.012", "0.5", "nan,0.1,0.1",
+                   "0,0,0", "x"],
+    "--rule": [*ACCEPT_RULES, "x"],
+}
+FLAGS = ["--normalized", "--help", "--version"]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("cli_fuzz")
+    (d / "good.ini").write_text("[device]\nr = 0.4\n[source]\nkind = fock\n"
+                                "n = 2\n[simulation]\nseed = 3\nn_trials = 50\n")
+    (d / "nan.ini").write_text("[device]\ndead_time_ns = nan\n")
+    (d / "default.ini").write_text("[DEFAULT]\nt0 = 0.5\n")
+    (d / "bytes.ini").write_bytes(b"\xff\xfe[device]\n")
+    (d / "channels.csv").write_text("k,H_k\n1,0.39\n2,0.42\n3,0.13\n4,0.04\n")
+    (d / "bad.csv").write_text("x\n")
+    return d
+
+
+@st.composite
+def argvs(draw) -> list[str]:
+    """A working command line, or an unknown command, followed by options
+    that may override, break or not belong to it."""
+    argv = list(draw(st.sampled_from([*COMMANDS.values(), ["bogus"]])))
+    for _ in range(draw(st.integers(0, 5))):
+        option = draw(st.sampled_from(sorted(OPTION_VALUES) + FLAGS))
+        argv.append(option)
+        if option in OPTION_VALUES and draw(st.integers(0, 9)):
+            argv.append(draw(st.sampled_from(OPTION_VALUES[option])))
+    return argv
+
+
+@settings(max_examples=100, deadline=None)
+@given(argv=argvs())
+def test_command_line_fuzz_ends_in_documented_exit_code(fuzz_dir, argv):
+    """Any command line ends in 0, 2, 3 or 4.  argparse signals a usage
+    error (and --help/--version) by raising SystemExit itself."""
+    cwd = os.getcwd()
+    os.chdir(fuzz_dir)
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    finally:
+        os.chdir(cwd)
+    assert code in {EXIT_OK, EXIT_CONFIG, EXIT_DOMAIN, EXIT_DATA}, argv

@@ -170,6 +170,11 @@ class TestPoissonClickDistribution:
         d = poisson_click_distribution(0.0, channel_transmissions(ref_params))
         assert d.p0 == 1.0
 
+    @pytest.mark.parametrize("mu", [-0.5, math.nan])
+    def test_bad_mu_rejected(self, mu):
+        with pytest.raises(ParameterError):
+            PhotonSource.poissonian(mu)
+
     def test_saturation(self):
         d = poisson_click_distribution(200.0, profile(0.3, 0.3, 0.3))
         assert d.p_click[-1] == pytest.approx(1.0, abs=1e-9)
@@ -231,6 +236,8 @@ class TestCustomClickDistribution:
             PhotonSource.custom([0.5, 0.4])
         with pytest.raises(ParameterError):
             PhotonSource.custom([1.2, -0.2])
+        with pytest.raises(ParameterError):
+            PhotonSource.custom([np.nan, 1.0])
 
 
 class TestMultiPhotonContent:

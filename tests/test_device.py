@@ -71,6 +71,13 @@ class TestChannelTransmissions:
     def test_out_of_range_coefficient_rejected(self):
         with pytest.raises(ParameterError):
             DeviceParams(t0=1.2)
+        for name in ("t0", "dead_time_ns", "bin_width_ns",
+                     "afterpulse_decay_ns", "loop_delay_ns"):
+            with pytest.raises(ParameterError):
+                DeviceParams(**{name: float("nan")})
+        for name in ("bin_width_ns", "afterpulse_decay_ns"):
+            with pytest.raises(ParameterError):
+                DeviceParams(**{name: float("inf")})
         with pytest.raises(ParameterError):
             CouplerSetting.ideal(-0.1)
 

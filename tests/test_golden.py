@@ -19,7 +19,8 @@ from loopdet import (
     simulate_pulse,
 )
 from loopdet.cli import main
-from loopdet.montecarlo import BATCH_SIZE
+from loopdet.montecarlo import BATCH_SIZE, empirical_click_distribution
+from loopdet.postselect import herald_acceptance_from_mc
 
 #: Three batches, so that workers=2 runs through the process pool.
 TRIALS = 2 * BATCH_SIZE + 1000
@@ -41,6 +42,37 @@ RUN_DIGESTS = {
         "d94e06a3b29a4587eb7eb12b72adc2d77e51d000b539f4e7a63e36205fff1d91",
     ("noisy", 2 ** 63 + 11):
         "2b828bc2b821fc58beda1ecf58c2cc8795dabc2575efdab65973c5c3d6d3905d",
+}
+
+#: Empirical click pmf (15 channels) of each run in RUN_DIGESTS.
+PMF_DIGESTS = {
+    ("noiseless", 3):
+        "70181a9e54c4ef0cc91e6672560a92c32ca713e58aea1cd24a1ef5827a0a9a4c",
+    ("noiseless", 2 ** 63 + 11):
+        "5322ab7ba16fca5eafb5b8d5f6baad7b73ed0bbe70a6453abd0467a9c3de4e94",
+    ("noisy", 3):
+        "10675ac503ad5970a7c4a164ba7d1a338fc7e71874ee6d94d2f4f6caa3efdad7",
+    ("noisy", 2 ** 63 + 11):
+        "11b19c65ee7ae1c8039d9e7a3110da1bf69c418288b3fbe168d8652c0b27ac0f",
+}
+
+#: Monte Carlo herald tables on the noisy device, n = 0..6, 2,000 trials.
+HERALD_DIGESTS = {
+    "exactly-one":
+        "3a5499c8d1a80b1e201dba71c6e5373163064dee38ba0f4869a30ee93027c7dd",
+    "one-or-more":
+        "119c1f95d199e662cb6c37988af6f76aa38995e2b880750be2899321d91a94c0",
+}
+
+#: A dead time shorter than the accepted window (5 ns < q * 60 = 10.2 ns),
+#: so that a channel window can hold two registered clicks of one pulse;
+#: the reference device never produces such a pair.
+DUPLICATE_WINDOW_DEVICE = reference_device(
+    dead_time_ns=5.0, dark_prob_per_bin=2e-3, afterpulse_prob=0.3,
+    afterpulse_decay_ns=8.0)
+DUPLICATE_WINDOW_DIGESTS = {
+    "run": "7b6441b059f05a97d56b69228e9562e393a687bb8ed620f94c29525eb6a32626",
+    "pmf": "511ec9f3d5827dde92350d7f8c8ed2b7782a2a63fe3c26557504a8f4df39842e",
 }
 
 PULSE_SOURCES = {
@@ -78,9 +110,13 @@ def digest(*arrays) -> str:
     return h.hexdigest()
 
 
+def golden_run(device: str, seed: int, workers: int = 1):
+    return run_simulation(PhotonSource.poissonian(2.13), DEVICES[device],
+                          TRIALS, seed, workers=workers)
+
+
 def run_digest(device: str, seed: int, workers: int) -> str:
-    res = run_simulation(PhotonSource.poissonian(2.13), DEVICES[device],
-                         TRIALS, seed, workers=workers)
+    res = golden_run(device, seed, workers)
     return digest(res.pulse, res.time_ns, res.origin, res.n_photons)
 
 
@@ -124,3 +160,33 @@ def test_simulate_pulse_bytes(device, source):
 @pytest.mark.parametrize("kind", sorted(JSON_DIGESTS))
 def test_simulate_tof_json_bytes(kind, tmp_path):
     assert json_digest(kind, tmp_path) == JSON_DIGESTS[kind]
+
+
+@pytest.mark.parametrize("device,seed", sorted(PMF_DIGESTS))
+def test_empirical_pmf_bytes(device, seed):
+    emp = empirical_click_distribution(golden_run(device, seed))
+    assert digest(emp.distribution.p_click) == PMF_DIGESTS[device, seed]
+
+
+@pytest.mark.parametrize("rule", sorted(HERALD_DIGESTS))
+def test_herald_table_bytes(rule):
+    table = herald_acceptance_from_mc(DEVICES["noisy"], 6, rule, 2000, 29)
+    assert digest(table) == HERALD_DIGESTS[rule]
+
+
+def test_duplicate_window_bytes():
+    res = run_simulation(PhotonSource.poissonian(3.0),
+                         DUPLICATE_WINDOW_DEVICE, 50_000, 5)
+    # The run really puts two clicks of one pulse into one channel window.
+    p, s = res.params, res.settings
+    k = np.rint((res.time_ns - s.time_offset_ns) / p.loop_delay_ns) + 1
+    centre = s.time_offset_ns + (k - 1) * p.loop_delay_ns
+    hit = ((np.abs(res.time_ns - centre) <= 0.5 * p.duty_factor_q
+            * p.loop_delay_ns) & (k >= 1) & (k <= 15))
+    pairs = set(zip(res.pulse[hit].tolist(), k[hit].tolist()))
+    assert (int(hit.sum()), int(hit.sum()) - len(pairs)) == (59_754, 192)
+
+    assert (digest(res.pulse, res.time_ns, res.origin, res.n_photons)
+            == DUPLICATE_WINDOW_DIGESTS["run"])
+    emp = empirical_click_distribution(res)
+    assert digest(emp.distribution.p_click) == DUPLICATE_WINDOW_DIGESTS["pmf"]

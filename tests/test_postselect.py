@@ -18,7 +18,13 @@ from loopdet import (
     wm_curve,
 )
 from loopdet.clickstats import fock_click_matrix
-from loopdet.postselect import ACCEPT_RULES, _thin_pmf, acceptance_probability
+from loopdet import reference_device
+from loopdet.postselect import (
+    ACCEPT_RULES,
+    _thin_pmf,
+    acceptance_probability,
+    herald_acceptance_from_mc,
+)
 from loopdet.errors import NoAcceptanceError, ParameterError
 
 
@@ -171,6 +177,31 @@ class TestPostselect:
         with pytest.raises(ParameterError):
             postselect(PhotonSource.poissonian(1.0), prof,
                        signal_transmission=0.0)
+
+
+class TestHeraldAcceptanceFromMc:
+    N_MAX, TRIALS = 8, 4000
+
+    @pytest.mark.parametrize("rule", ACCEPT_RULES)
+    def test_noise_free_matches_closed_form(self, rule):
+        params = reference_device(dark_prob_per_bin=0.0, afterpulse_prob=0.0)
+        table = herald_acceptance_from_mc(params, self.N_MAX, rule,
+                                          self.TRIALS, seed=41)
+        exact = acceptance_probability(
+            rule, np.arange(self.N_MAX + 1), channel_transmissions(params, 15))
+        sigma = np.sqrt(exact * (1.0 - exact) / self.TRIALS)
+        assert table.shape == (self.N_MAX + 1,)
+        assert table[0] == exact[0] == 0.0
+        assert np.all(np.abs(table - exact) <= 6.0 * sigma)
+
+    def test_first_channel_only_is_a_subset_of_exactly_one(self, ref_params):
+        first, one = (herald_acceptance_from_mc(ref_params, 4, rule, 2000, 5)
+                      for rule in ("first-channel-only", "exactly-one"))
+        assert np.all(first <= one) and np.all(first[1:] > 0.0)
+
+    def test_unknown_rule(self, ref_params):
+        with pytest.raises(ParameterError):
+            herald_acceptance_from_mc(ref_params, 2, "two-or-more", 100, 1)
 
 
 class TestWmCurve:
