@@ -79,9 +79,22 @@ class PhotonSource:
         return np.exp(logp)
 
 
+#: Largest photon number a source may reach: the Poisson cut-off, the Fock
+#: n or the last custom pmf entry.  The Monte Carlo holds about 30 bytes per
+#: photon of an 8,192-pulse batch, so 1,000 photons per pulse peak near
+#: 270 MB; the click kernel's (n+1) x (n+1) binomial matrices take 8 MB.
+MAX_PHOTONS = 1000
+
+
+def _check_photons(n_max: int, what: str) -> int:
+    if n_max > MAX_PHOTONS:
+        raise DomainError(f"{what} needs photon numbers above MAX_PHOTONS = {MAX_PHOTONS}")
+    return n_max
+
+
 def poisson_truncation(mu: float) -> int:
-    """Default Fock truncation for Poissonian mixtures."""
-    return int(math.ceil(mu + 10.0 * math.sqrt(mu) + 20.0))
+    """Default Fock truncation for Poissonian mixtures, at most MAX_PHOTONS."""
+    return _check_photons(int(math.ceil(mu + 10.0 * math.sqrt(mu) + 20.0)), f"mu = {mu:g}")
 
 
 @dataclass(frozen=True)

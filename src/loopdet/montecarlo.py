@@ -8,6 +8,12 @@ paralyzes the detector, dark counts appear uniformly over the acquisition
 window, and every registered click may trigger at most one afterpulse at an
 exponentially distributed delay (suppressed while the detector is dead).
 
+Pulses without noise candidates register every channel click.  The others
+are resolved together in array passes, one event per pulse per pass: the
+earlier of the pulse's next time-sorted candidate and its earliest pending
+afterpulse, a candidate winning a tie and afterpulses going in the order
+they were created.
+
 Reproducibility contract: trials are processed in fixed-size batches and
 each batch owns a counter-based random substream keyed by (seed, batch
 index), so results are bit-identical for any worker count.
@@ -15,16 +21,14 @@ index), so results are bit-identical for any worker count.
 
 from __future__ import annotations
 
-import heapq
 import json
 import csv
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .clickstats import ClickDistribution, PhotonSource
+from .clickstats import ClickDistribution, PhotonSource, _check_photons, poisson_truncation
 from .device import DeviceParams
 from .errors import ParameterError
 
@@ -144,43 +148,37 @@ def _route_photons(params: DeviceParams, rng: np.random.Generator,
                    pulse_of_photon: np.ndarray,
                    max_channels: int) -> tuple[np.ndarray, np.ndarray]:
     """Pass-by-pass routing of every photon; returns (pulse, channel) of
-    detected photons."""
+    each channel click, in channel order.  Photons of one pulse arriving in
+    one channel merge into one click: the detector produces a single
+    avalanche regardless of multiplicity."""
     c = params.coupler
-    n_photons = pulse_of_photon.size
-    alive = rng.random(n_photons) < params.t0
-    idx = np.nonzero(alive)[0]
+    # np.compress: several times faster than a boolean index on numpy 2.4.
+    pulse = np.compress(rng.random(pulse_of_photon.size) < params.t0, pulse_of_photon)
 
     det_pulse = []
-    det_channel = []
     k = 1
-    while idx.size and k <= max_channels:
+    while pulse.size and k <= max_channels:
         # Coupler pass: exit toward the detector, stay in the loop, or be
         # lost to excess loss.  Ports differ between the first pass (input
         # port 1) and all later passes (loop port 2).
         p_det = params.theta * (c.t13 if k == 1 else c.t23)
         p_loop = params.theta * (c.t14 if k == 1 else c.t24)
-        u = rng.random(idx.size)
+        u = rng.random(pulse.size)
         to_det = u < p_det
-        to_loop = (~to_det) & (u < p_det + p_loop)
-
-        exiting = idx[to_det]
-        if exiting.size:
-            detected = rng.random(exiting.size) < params.eta
-            hit = exiting[detected]
-            det_pulse.append(pulse_of_photon[hit])
-            det_channel.append(np.full(hit.size, k, dtype=np.int32))
-
-        looping = idx[to_loop]
-        if looping.size:
-            survived = rng.random(looping.size) < params.tl
-            idx = looping[survived]
-        else:
-            idx = looping
+        exiting = np.compress(to_det, pulse)
+        looping = np.compress(~to_det & (u < p_det + p_loop), pulse)
+        # Detection and loop survival in one draw: a generator fills doubles
+        # one after another, so this equals two consecutive draws.
+        v = rng.random(exiting.size + looping.size)
+        hit = np.compress(v[:exiting.size] < params.eta, exiting)
+        # Each pass keeps the pulse order of pulse_of_photon, so photons of
+        # one pulse in this channel are adjacent.
+        det_pulse.append(np.compress(np.diff(hit, prepend=-1) != 0, hit))
+        pulse = np.compress(v[exiting.size:] < params.tl, looping)
         k += 1
 
-    if det_pulse:
-        return np.concatenate(det_pulse), np.concatenate(det_channel)
-    return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int32))
+    return (np.concatenate(det_pulse or [pulse]),
+            np.repeat(np.arange(1, k, dtype=np.int32), [a.size for a in det_pulse]))
 
 
 def _first_of_runs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -190,29 +188,47 @@ def _first_of_runs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return first
 
 
-def _process_flagged_pulse(times, origins, ap_flags, ap_delays,
-                           dead_time: float) -> list[tuple[float, int]]:
-    """Sequential dead-time / afterpulse processing of one pulse's candidate
-    clicks.  Candidates must be pre-sorted by time, which makes their list a
-    heap already; afterpulse candidates are injected on the fly.  Afterpulses
-    never chain."""
-    queue = [(t, 0, seq, f, d, o) for seq, (t, o, f, d) in enumerate(zip(
-        times.tolist(), origins.tolist(), ap_flags.tolist(), ap_delays.tolist()))]
-    accepted: list[tuple[float, int]] = []
-    last = -np.inf
-    seq = len(queue)
-    while queue:
-        t, _, _, ap_flag, ap_delay, origin = heapq.heappop(queue)
-        if t - last < dead_time:
-            continue  # detector still paralyzed; candidate vanishes
-        accepted.append((t, origin))
-        last = t
-        if ap_flag:
-            # tie-break key 1 sorts a coincident afterpulse after real clicks
-            heapq.heappush(queue, (t + ap_delay, 1, seq, False, 0.0,
-                                   ORIGIN_AFTERPULSE))
-            seq += 1
-    return accepted
+def _resolve_flagged(pulse, time, origin, ap_flag, ap_delay, dead_time: float):
+    """Dead time and afterpulses for candidate clicks sorted by (pulse,
+    time), one event per pulse per pass (see the module docstring).  An
+    event registers unless it falls within the dead time of the pulse's
+    last registered click; a registered candidate with its flag set adds a
+    pending afterpulse, which never chains.  Returns the registered (pulse,
+    time, origin), time-ordered within each pulse."""
+    # One slot per candidate, and an inf sentinel after each pulse's last.
+    head = np.r_[True, pulse[1:] != pulse[:-1]]
+    rank = np.cumsum(head) - 1
+    slot = np.arange(pulse.size) + rank
+    t_c = np.full(pulse.size + rank[-1] + 1, np.inf)
+    o_c, f_c, d_c = (np.zeros(t_c.size, a.dtype) for a in (origin, ap_flag, ap_delay))
+    t_c[slot], o_c[slot], f_c[slot], d_c[slot] = time, origin, ap_flag, ap_delay
+
+    pid = pulse[head]
+    ptr = slot[head]  # slot of each pulse's next candidate
+    last = np.full(pid.size, -np.inf)
+    made = np.zeros(pid.size, np.intp)  # afterpulses created so far
+    # Pending afterpulse times, one column per creation, inf when empty.
+    pend = np.full((pid.size, max(1, np.bincount(rank[ap_flag]).max(initial=0))),
+                   np.inf)
+    out = []
+    while pid.size:
+        rows = np.arange(pid.size)
+        col = pend.argmin(axis=1)  # first of equal times: created first
+        t_cand, t_ap = t_c[ptr], pend[rows, col]
+        is_cand = t_cand <= t_ap
+        t = np.where(is_cand, t_cand, t_ap)
+        ok = ~(t - last < dead_time)
+        out.append((pid[ok], t[ok], np.where(is_cand, o_c[ptr], ORIGIN_AFTERPULSE)[ok]))
+        last[ok] = t[ok]
+        pend[rows[~is_cand], col[~is_cand]] = np.inf
+        spawn = is_cand & ok & f_c[ptr]
+        pend[rows[spawn], made[spawn]] = t[spawn] + d_c[ptr[spawn]]
+        made += spawn
+        ptr += is_cand
+        busy = (t_c[ptr] < np.inf) | (pend.min(axis=1) < np.inf)
+        if not busy.all():
+            pid, ptr, last, made, pend = (a[busy] for a in (pid, ptr, last, made, pend))
+    return tuple(np.concatenate(column) for column in zip(*out))
 
 
 def _simulate_batch(source: PhotonSource, params: DeviceParams,
@@ -221,24 +237,20 @@ def _simulate_batch(source: PhotonSource, params: DeviceParams,
     window_ns = settings.n_bins * params.bin_width_ns
 
     n_photons = _draw_photon_numbers(source, rng, n_pulses)
-    pulse_of_photon = np.repeat(np.arange(n_pulses, dtype=np.int64), n_photons)
+    pulse_of_photon = np.repeat(np.arange(n_pulses, dtype=np.int32), n_photons)
     ph_pulse, ph_channel = _route_photons(params, rng, pulse_of_photon,
                                           settings.max_channels)
 
-    # Merge photons arriving in the same channel of the same pulse: the
-    # detector produces a single avalanche regardless of multiplicity.
     # Passes come out in channel order, so this sorts by (pulse, channel).
     order = np.argsort(ph_pulse, kind="stable")
     ph_pulse, ph_channel = ph_pulse[order], ph_channel[order]
-    first = _first_of_runs(ph_pulse, ph_channel)
-    ph_pulse, ph_channel = ph_pulse[first], ph_channel[first]
     ph_time = (settings.time_offset_ns
                + (ph_channel - 1) * params.loop_delay_ns)
 
     # Dark counts: per-bin probability, uniform over the acquisition window.
     dark_counts = rng.binomial(settings.n_bins, params.dark_prob_per_bin,
                                n_pulses)
-    dk_pulse = np.repeat(np.arange(n_pulses, dtype=np.int64), dark_counts)
+    dk_pulse = np.repeat(np.arange(n_pulses, dtype=np.int32), dark_counts)
     dk_time = rng.uniform(0.0, window_ns, dk_pulse.size)
 
     # Afterpulse pre-draws for every candidate click.  Flags only take
@@ -256,39 +268,23 @@ def _simulate_batch(source: PhotonSource, params: DeviceParams,
     flagged[ph_pulse[ph_ap_flag]] = True
 
     fast = ~flagged[ph_pulse]
-    out_pulse = [ph_pulse[fast]]
-    out_time = [ph_time[fast]]
-    out_origin = [ph_channel[fast]]
-
+    pulse, time, origin = ph_pulse[fast], ph_time[fast], ph_channel[fast]
     if flagged.any():
-        cand_pulse = np.concatenate([ph_pulse[~fast], dk_pulse])
-        cand_time = np.concatenate([ph_time[~fast], dk_time])
-        cand_origin = np.concatenate(
-            [ph_channel[~fast], np.full(dk_pulse.size, ORIGIN_DARK, dtype=np.int32)])
-        cand_ap_flag = np.concatenate([ph_ap_flag[~fast], dk_ap_flag])
-        cand_ap_delay = np.concatenate([ph_ap_delay[~fast], dk_ap_delay])
-        order = np.lexsort((cand_time, cand_pulse))
-        cand_pulse = cand_pulse[order]
-        bounds = np.searchsorted(cand_pulse,
-                                 np.arange(n_pulses + 1, dtype=np.int64))
-        t_s, o_s = cand_time[order], cand_origin[order]
-        af_s, ad_s = cand_ap_flag[order], cand_ap_delay[order]
-        # A flagged pulse has at least one candidate, and its first one
-        # always registers.
-        for p in np.nonzero(flagged)[0]:
-            lo, hi = bounds[p], bounds[p + 1]
-            accepted = _process_flagged_pulse(
-                t_s[lo:hi], o_s[lo:hi], af_s[lo:hi], ad_s[lo:hi],
-                params.dead_time_ns)
-            out_pulse.append(np.full(len(accepted), p, dtype=np.int64))
-            out_time.append(np.array([a[0] for a in accepted]))
-            out_origin.append(np.array([a[1] for a in accepted], dtype=np.int32))
+        slow = ~fast
+        cand = [np.concatenate(pair) for pair in (
+            (ph_pulse[slow], dk_pulse), (ph_time[slow], dk_time),
+            (ph_channel[slow], np.full(dk_pulse.size, ORIGIN_DARK, dtype=np.int32)),
+            (ph_ap_flag[slow], dk_ap_flag), (ph_ap_delay[slow], dk_ap_delay))]
+        order = np.lexsort((cand[1], cand[0]))
+        resolved = _resolve_flagged(*(a[order] for a in cand), params.dead_time_ns)
+        pulse, time, origin = (np.concatenate(pair) for pair in zip(
+            (pulse, time, origin), resolved))
 
-    pulse = np.concatenate(out_pulse)
-    time = np.concatenate(out_time)
-    origin = np.concatenate(out_origin)
-    order = np.lexsort((origin, time, pulse))
-    return pulse[order], time[order], origin[order], n_photons
+    # Fast and flagged pulses are disjoint, and each pulse's rows are in
+    # strictly increasing time, so a stable sort by pulse alone gives the
+    # (pulse, time, origin) order.
+    order = np.argsort(pulse, kind="stable")
+    return pulse[order].astype(np.int64), time[order], origin[order], n_photons
 
 
 def _batch_worker(args):
@@ -306,6 +302,9 @@ def run_simulation(source: PhotonSource, params: DeviceParams,
         raise ParameterError("n_trials must be >= 1")
     if seed < 0:
         raise ParameterError("seed must be a nonnegative integer")
+    _check_photons(poisson_truncation(source.mu) if source.kind == "poissonian"
+                   else source.n if source.kind == "fock" else source.pmf.size - 1,
+                   f"a {source.kind} source")
     settings = settings or SimSettings()
 
     n_batches = (n_trials + BATCH_SIZE - 1) // BATCH_SIZE
@@ -313,6 +312,7 @@ def run_simulation(source: PhotonSource, params: DeviceParams,
              min(BATCH_SIZE, n_trials - b * BATCH_SIZE))
             for b in range(n_batches)]
     if workers > 1 and n_batches > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_batch_worker, jobs, chunksize=4))
     else:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clickstats import PhotonSource, binomial_matrix, poisson_truncation
+from .clickstats import PhotonSource, _check_photons, binomial_matrix, poisson_truncation
 from .device import ChannelProfile, DeviceParams
 from .errors import NoAcceptanceError, ParameterError
 
@@ -128,6 +128,7 @@ def herald_acceptance_from_mc(params: DeviceParams, n_max: int,
 
     if rule not in ACCEPT_RULES:
         raise ParameterError(f"unknown accept rule {rule!r}")
+    _check_photons(n_max, f"n_max = {n_max}")  # before any run, not at n_max
     accept = np.zeros(n_max + 1)
     for n in range(n_max + 1):
         result = run_simulation(PhotonSource.fock(n), params, n_trials,

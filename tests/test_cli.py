@@ -4,11 +4,15 @@ exit codes, reproducibility."""
 import csv
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import loopdet
 from loopdet.cli import EXIT_CONFIG, EXIT_DATA, EXIT_DOMAIN, EXIT_OK, main
 from loopdet.config import load_config
 from loopdet.errors import ConfigError
@@ -453,6 +457,34 @@ class TestPostselectCommand:
         assert code == EXIT_DOMAIN and "domain error" in err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("command", [
+        ["postselect", "--mu-grid", "1e300:1e300:1"],
+        ["postselect", "--mu-grid", "1,720"],
+        [*COMMANDS["simulate-tof"], "--mu", "1e19"],
+        [*COMMANDS["simulate-tof"], "--mu", "720"]])
+    def test_photon_numbers_beyond_ceiling_are_domain_errors(
+            self, capsys, tmp_path, command):
+        # mu = 720 needs photon numbers up to 1009 > MAX_PHOTONS = 1000.
+        code, _, err = run(capsys, *command, "--out", str(tmp_path / "x.csv"))
+        assert code == EXIT_DOMAIN and "MAX_PHOTONS" in err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("source,code", [
+        ("kind = fock\nn = 1000", EXIT_OK),
+        ("kind = fock\nn = 1001", EXIT_DOMAIN),
+        ("kind = custom\npmf = " + ", ".join(["0"] * 1001 + ["1"]), EXIT_DOMAIN)],
+        ids=["fock-1000", "fock-1001", "custom-1002"])
+    def test_simulate_tof_photon_ceiling(self, capsys, tmp_path, source, code):
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[source]\n{source}\n")
+        assert run(capsys, "simulate-tof", "--config", str(ini), "--seed", "1",
+                   "--trials", "2", "--out", str(tmp_path / "x.csv"))[0] == code
+
+    def test_largest_tested_mu_runs(self, capsys, tmp_path):
+        for command in (["postselect", "--mu-grid", "50"],
+                        [*COMMANDS["simulate-tof"], "--mu", "50"]):
+            assert run(capsys, *command, "--out", str(tmp_path / "x.csv"))[0] == EXIT_OK
+
     @pytest.mark.parametrize("out", ["no-such-dir/out.csv", "."])
     def test_unwritable_output_is_config_error(self, capsys, tmp_path, out):
         code, _, err = run(capsys, "postselect", "--mu-grid", "1",
@@ -548,3 +580,15 @@ def test_command_line_fuzz_ends_in_documented_exit_code(fuzz_dir, argv):
     finally:
         os.chdir(cwd)
     assert code in {EXIT_OK, EXIT_CONFIG, EXIT_DOMAIN, EXIT_DATA}, argv
+
+
+def test_cli_import_does_not_load_process_pool():
+    # The process pool is imported only when a run asks for workers > 1,
+    # so starting the CLI does not pay for multiprocessing and its imports.
+    src = str(Path(loopdet.__file__).resolve().parents[1])
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, loopdet.cli; "
+         "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        check=True).stdout
+    assert loaded.strip() == "[]"

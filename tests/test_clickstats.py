@@ -23,7 +23,7 @@ from loopdet import (
     normalized_channels,
     total_transmission,
 )
-from loopdet.clickstats import fock_click_matrix, poisson_truncation
+from loopdet.clickstats import MAX_PHOTONS, fock_click_matrix, poisson_truncation
 from loopdet.errors import (
     DegenerateDeviceError,
     DomainError,
@@ -129,6 +129,12 @@ class TestFockClickDistribution:
         assert np.all(P >= 0.0)
         assert P.sum(axis=1) == pytest.approx(np.ones(n_max + 1), abs=1e-12)
         assert np.all(np.triu(P, k=1) == 0.0)
+
+    def test_poisson_truncation_ceiling(self):
+        assert poisson_truncation(710.0) == 997 <= MAX_PHOTONS
+        for mu in (720.0, 1e19, 1e300):
+            with pytest.raises(DomainError, match="MAX_PHOTONS"):
+                poisson_truncation(mu)
 
     def test_poisson_mixture_matches_poisson_binomial(self, ref_params):
         # Poisson input thins into independent channels, so the Fock mixture

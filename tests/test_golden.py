@@ -75,6 +75,29 @@ DUPLICATE_WINDOW_DIGESTS = {
     "pmf": "511ec9f3d5827dde92350d7f8c8ed2b7782a2a63fe3c26557504a8f4df39842e",
 }
 
+#: Afterpulse probability 1: every registered click leaves a pending
+#: afterpulse.  "pending" has about five dark counts per pulse and a 1 ns
+#: decay inside a 59 ns dead time, so every afterpulse is suppressed;
+#: "registering" has a 30 ns decay past a 20 ns dead time, so a third of
+#: its clicks are afterpulses.  Recorded before the dead-time loop became
+#: array passes.
+AFTERPULSE_DEVICES = {
+    "pending": reference_device(dark_prob_per_bin=5e-3, afterpulse_prob=1.0,
+                                afterpulse_decay_ns=1.0, dead_time_ns=59.0),
+    "registering": reference_device(dark_prob_per_bin=1e-3,
+                                    afterpulse_prob=1.0,
+                                    afterpulse_decay_ns=30.0,
+                                    dead_time_ns=20.0),
+}
+AFTERPULSE_DIGESTS = {
+    "pending": (
+        "e9da16d8f40f615aadf0a90559d31995789126166024771c9088bfc047ddeee6",
+        "7517cc79ca504de6fc0fca0e5ae0c4ac2e9503aaf47cb5e0726c45962322ce5a"),
+    "registering": (
+        "1ab1ad6c627ac288e4d8dd0fc0d46eec8fc740f59b85535a450b581ebd9fdc8d",
+        "26baf72f9b481e0e6e8e3f6c9ad49ed374d35a4f6cd46274da07d73231a59208"),
+}
+
 PULSE_SOURCES = {
     "poissonian": PhotonSource.poissonian(4.26),
     "fock": PhotonSource.fock(5),
@@ -190,3 +213,14 @@ def test_duplicate_window_bytes():
             == DUPLICATE_WINDOW_DIGESTS["run"])
     emp = empirical_click_distribution(res)
     assert digest(emp.distribution.p_click) == DUPLICATE_WINDOW_DIGESTS["pmf"]
+
+
+@pytest.mark.parametrize("device", sorted(AFTERPULSE_DIGESTS))
+@pytest.mark.parametrize("workers", [1, 2])
+def test_afterpulse_device_bytes(device, workers):
+    res = run_simulation(PhotonSource.poissonian(2.13),
+                         AFTERPULSE_DEVICES[device], TRIALS, 7,
+                         workers=workers)
+    emp = empirical_click_distribution(res)
+    assert (digest(res.pulse, res.time_ns, res.origin, res.n_photons),
+            digest(emp.distribution.p_click)) == AFTERPULSE_DIGESTS[device]

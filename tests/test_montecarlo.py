@@ -1,8 +1,11 @@
 """Monte Carlo engine: agreement with the analytic model, noise behavior,
 and the reproducibility contract."""
 
+import heapq
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loopdet import (
     DeviceParams,
@@ -19,8 +22,10 @@ from loopdet import (
     simulate_pulse,
     total_transmission,
 )
-from loopdet.montecarlo import BATCH_SIZE, ORIGIN_AFTERPULSE, ORIGIN_DARK
-from loopdet.errors import ParameterError
+from loopdet.clickstats import MAX_PHOTONS
+from loopdet.montecarlo import (BATCH_SIZE, ORIGIN_AFTERPULSE, ORIGIN_DARK,
+                                _resolve_flagged)
+from loopdet.errors import DomainError, ParameterError
 
 
 def noiseless(params):
@@ -217,3 +222,157 @@ class TestInterfaces:
             run_simulation(PhotonSource.poissonian(1.0), ref_params, 10, seed=-1)
         with pytest.raises(ParameterError):
             SimSettings(n_bins=0)
+
+
+def heap_resolve_pulse(times, origins, ap_flags, ap_delays, dead_time):
+    """Reference dead-time / afterpulse resolution of one pulse: an event
+    queue popped one event at a time.  Candidates come sorted by time, which
+    makes their list a heap already; a registered candidate with its flag
+    set pushes an afterpulse, whose key 1 sorts it after a candidate at the
+    same time and whose sequence number sorts it after earlier afterpulses.
+    Afterpulses never chain."""
+    queue = [(t, 0, seq, f, d, o) for seq, (t, o, f, d) in enumerate(zip(
+        times.tolist(), origins.tolist(), ap_flags.tolist(),
+        ap_delays.tolist()))]
+    accepted = []
+    last = -np.inf
+    seq = len(queue)
+    while queue:
+        t, _, _, ap_flag, ap_delay, origin = heapq.heappop(queue)
+        if t - last < dead_time:
+            continue  # detector still paralyzed; candidate vanishes
+        accepted.append((t, origin))
+        last = t
+        if ap_flag:
+            heapq.heappush(queue, (t + ap_delay, 1, seq, False, 0.0,
+                                   ORIGIN_AFTERPULSE))
+            seq += 1
+    return accepted
+
+
+def heap_resolve(pulse, time, origin, ap_flag, ap_delay, dead_time):
+    """:func:`heap_resolve_pulse` over every pulse, in pulse order."""
+    rows = [(p, t, o) for p in np.unique(pulse)
+            for t, o in heap_resolve_pulse(
+                time[pulse == p], origin[pulse == p], ap_flag[pulse == p],
+                ap_delay[pulse == p], dead_time)]
+    return (np.array([r[0] for r in rows], dtype=pulse.dtype),
+            np.array([r[1] for r in rows], dtype=float),
+            np.array([r[2] for r in rows], dtype=np.int32))
+
+
+def array_resolve(pulse, time, origin, ap_flag, ap_delay, dead_time):
+    """The engine's resolver, its rows ordered by pulse as the engine does."""
+    out = _resolve_flagged(pulse, time, origin, ap_flag, ap_delay, dead_time)
+    order = np.argsort(out[0], kind="stable")
+    return tuple(a[order] for a in out)
+
+
+def candidates(rows):
+    """Candidate arrays from (pulse, time, origin, ap_flag, ap_delay) rows,
+    sorted by (pulse, time) as the engine sorts them (stable, so rows at
+    equal times keep their given order)."""
+    pulse, time, origin, flag, delay = (np.array(c) for c in zip(*rows))
+    order = np.lexsort((time, pulse))
+    return (pulse.astype(np.int32)[order], time.astype(float)[order],
+            origin.astype(np.int32)[order], flag.astype(bool)[order],
+            delay.astype(float)[order])
+
+
+@st.composite
+def candidate_sets(draw):
+    """Candidates on a coarse time grid, so that candidates tie with each
+    other and with afterpulses, and afterpulses tie with each other."""
+    dead_time = draw(st.sampled_from([0.5, 1.0, 2.5, 7.0, 20.0, 59.0, 60.0]))
+    ap = draw(st.sampled_from(["never", "always", "sometimes"]))
+    rows = []
+    for pulse in draw(st.lists(st.integers(0, 30), min_size=1, max_size=6,
+                               unique=True)):
+        for _ in range(draw(st.integers(1, 8))):
+            flag = ap == "always" or (ap == "sometimes" and draw(st.booleans()))
+            rows.append((pulse, draw(st.integers(0, 80)) * 0.5,
+                         draw(st.integers(ORIGIN_DARK, 4)), flag,
+                         draw(st.sampled_from([0.0, 0.5, 1.0, 2.5, 5.0,
+                                               20.0, 61.0]))))
+    return candidates(rows), dead_time
+
+
+class TestFlaggedResolver:
+    @settings(max_examples=200, deadline=None)
+    @given(candidate_sets())
+    def test_matches_event_queue(self, case):
+        cand, dead_time = case
+        got = array_resolve(*cand, dead_time)
+        want = heap_resolve(*cand, dead_time)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            np.testing.assert_array_equal(g, w)
+
+    # (rows, dead time, expected (time, origin) of pulse 0)
+    TIES = {
+        # A photon and a dark count at one time: the first in sorted order
+        # registers, the other falls in its dead time.
+        "photon-then-dark": ([(0, 10.0, 1, False, 0.0),
+                              (0, 10.0, ORIGIN_DARK, False, 0.0)], 5.0,
+                             [(10.0, 1)]),
+        "dark-then-photon": ([(0, 10.0, ORIGIN_DARK, False, 0.0),
+                              (0, 10.0, 1, False, 0.0)], 5.0,
+                             [(10.0, ORIGIN_DARK)]),
+        # An afterpulse due at 10 ns meets a candidate at 10 ns: the
+        # candidate goes first.
+        "afterpulse-on-candidate": ([(0, 0.0, 1, True, 10.0),
+                                     (0, 10.0, 2, False, 0.0)], 5.0,
+                                    [(0.0, 1), (10.0, 2)]),
+        # Two afterpulses both due at 10 ns: one registers.
+        "two-afterpulses": ([(0, 0.0, 1, True, 10.0),
+                             (0, 5.0, ORIGIN_DARK, True, 5.0)], 1.0,
+                            [(0.0, 1), (5.0, ORIGIN_DARK),
+                             (10.0, ORIGIN_AFTERPULSE)]),
+        # An afterpulse never chains, and one in the dead time vanishes.
+        "no-chain": ([(0, 0.0, 1, True, 3.0), (0, 60.0, 2, True, 70.0)], 5.0,
+                     [(0.0, 1), (60.0, 2), (130.0, ORIGIN_AFTERPULSE)]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(TIES))
+    def test_tie_breaks(self, case):
+        rows, dead_time, expected = self.TIES[case]
+        cand = candidates(rows)
+        for resolve in (array_resolve, heap_resolve):
+            _, t, o = resolve(*cand, dead_time)
+            assert list(zip(t.tolist(), o.tolist())) == expected
+
+
+class TestRowOrder:
+    @pytest.mark.parametrize("params", [
+        reference_device(),
+        reference_device(r=0.3, dark_prob_per_bin=2e-2, afterpulse_prob=0.5,
+                         afterpulse_decay_ns=3.0, dead_time_ns=1.0),
+        reference_device(dark_prob_per_bin=1e-3, afterpulse_prob=1.0,
+                         afterpulse_decay_ns=30.0, dead_time_ns=20.0),
+    ])
+    def test_rows_sorted_by_pulse_time_origin(self, params):
+        res = run_simulation(PhotonSource.poissonian(3.0), params,
+                             BATCH_SIZE + 500, seed=13)
+        assert (res.origin < 1).any()  # noise reached the resolver
+        order = np.lexsort((res.origin, res.time_ns, res.pulse))
+        np.testing.assert_array_equal(order, np.arange(res.pulse.size))
+        assert (res.pulse.dtype, res.time_ns.dtype, res.origin.dtype,
+                res.n_photons.dtype) == (np.int64, np.float64, np.int32,
+                                         np.int64)
+
+
+class TestPhotonCeiling:
+    @pytest.mark.parametrize("source", [
+        PhotonSource.fock(MAX_PHOTONS + 1),
+        PhotonSource.custom(np.eye(MAX_PHOTONS + 2)[-1]),
+        PhotonSource.poissonian(1e19),
+        PhotonSource.poissonian(720.0),  # cut-off 1009
+    ])
+    def test_beyond_ceiling_is_domain_error(self, ref_params, source):
+        with pytest.raises(DomainError, match="MAX_PHOTONS"):
+            run_simulation(source, ref_params, 2, seed=1)
+
+    def test_ceiling_runs(self, ref_params):
+        res = run_simulation(PhotonSource.fock(MAX_PHOTONS), ref_params, 2,
+                             seed=1)
+        assert res.n_photons.tolist() == [MAX_PHOTONS] * 2

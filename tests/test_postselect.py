@@ -17,7 +17,7 @@ from loopdet import (
     source_multi_photon_content,
     wm_curve,
 )
-from loopdet.clickstats import fock_click_matrix
+from loopdet.clickstats import MAX_PHOTONS, fock_click_matrix
 from loopdet import reference_device
 from loopdet.postselect import (
     ACCEPT_RULES,
@@ -25,7 +25,7 @@ from loopdet.postselect import (
     acceptance_probability,
     herald_acceptance_from_mc,
 )
-from loopdet.errors import NoAcceptanceError, ParameterError
+from loopdet.errors import DomainError, NoAcceptanceError, ParameterError
 
 
 def profile(*h):
@@ -202,6 +202,18 @@ class TestHeraldAcceptanceFromMc:
     def test_unknown_rule(self, ref_params):
         with pytest.raises(ParameterError):
             herald_acceptance_from_mc(ref_params, 2, "two-or-more", 100, 1)
+
+    def test_photon_ceiling_checked_before_any_run(self, ref_params,
+                                                   monkeypatch):
+        import loopdet.montecarlo as mc
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("ran a simulation")
+
+        monkeypatch.setattr(mc, "run_simulation", no_run)
+        with pytest.raises(DomainError, match="MAX_PHOTONS"):
+            herald_acceptance_from_mc(ref_params, MAX_PHOTONS + 1,
+                                      "exactly-one", 2, 1)
 
 
 class TestWmCurve:
