@@ -8,10 +8,11 @@ round trip.  Detection in round trip k defines time-multiplexed channel k.
 The per-channel transmissions are
 
     h_1 = t0 * theta * t13 * eta
-    h_k = t0 * t14 * theta**k * tl**(k-1) * t23 * t24**(k-2) * eta   (k >= 2)
+    h_k = h_2 * rho**(k-2)   (k >= 2),  h_2 = t0 * theta**2 * tl * t14 * t23 * eta,
+                                        rho = theta * tl * t24,
 
-so that from channel 3 on the profile is a geometric series with ratio
-theta * tl * t24.
+so (h_1, h_2, rho) fix the whole profile, its tail beyond any channel and
+the total transmission T = h_1 + h_2 / (1 - rho).
 """
 
 from __future__ import annotations
@@ -28,10 +29,8 @@ from .errors import (
     UndefinedRatioError,
 )
 
-#: Default channel truncation for analytic work.  The tail ratio is below
-#: 0.9 for any accepted parameter set, so mass beyond 30 channels is
-#: negligible at realistic losses; the remainder is carried explicitly so
-#: normalization stays exact anyway.
+#: Default channel truncation for analytic work.  The profile's remainder
+#: carries the closed-form tail beyond it, so totals stay exact.
 DEFAULT_N_CHANNELS = 30
 
 #: Series convergence guard: the geometric tail ratio theta*tl*t24 must stay
@@ -170,65 +169,50 @@ class ChannelProfile:
         return ChannelProfile(self.h[:n_channels].copy(), self.remainder + dropped)
 
 
-def _check_convergence(params: DeviceParams) -> None:
+def _geometric(params: DeviceParams, r=None):
+    """(h_1, h_2, rho) of the channel series h_k = h_2 * rho**(k-2), k >= 2.
+
+    A scalar or array ``r`` swaps in the ideal coupler at that ratio.  With
+    no light into the loop (t14 * t23 = 0) the series is finite whatever
+    theta*tl*t24, and rho is returned as 0.
+    """
     c = params.coupler
-    if c.t14 * c.t23 == 0.0:
-        # No light ever reaches channels k >= 2, so the series is finite
-        # regardless of the tail ratio.
-        return
-    if params.tail_ratio >= 1.0 - CONVERGENCE_MARGIN:
+    t13, t14, t23, t24 = ((c.t13, c.t14, c.t23, c.t24) if r is None
+                          else (r, 1.0 - r, 1.0 - r, r))
+    a = params.t0 * params.theta * params.eta
+    rho = params.theta * params.tl * t24
+    looped = t14 * t23 > 0.0
+    if np.any(looped & (rho >= 1.0 - CONVERGENCE_MARGIN)):
         raise DomainError(
             "channel series does not converge: theta*tl*t24 = "
-            f"{params.tail_ratio!r} is too close to or above 1"
+            f"{float(np.max(rho * looped))!r} is too close to or above 1"
         )
+    return a * t13, a * t14 * params.theta * params.tl * t23, rho * looped
+
+
+def _series(params: DeviceParams, n_channels: int, r=None):
+    """h_1..h_N and the closed-form tail h_2 * rho**(N-1) / (1 - rho),
+    along a last axis of length N for array ``r``."""
+    if n_channels < 1:
+        raise ParameterError(f"n_channels must be >= 1, got {n_channels}")
+    h1, h2, rho = (np.asarray(x, dtype=float)[..., None]
+                   for x in _geometric(params, r))
+    h = np.concatenate([h1, h2 * rho ** np.arange(n_channels - 1)], axis=-1)
+    return h, (h2 * rho ** (n_channels - 1) / (1.0 - rho))[..., 0]
 
 
 def channel_transmissions(params: DeviceParams,
                           n_channels: int = DEFAULT_N_CHANNELS) -> ChannelProfile:
     """Per-channel transmissions h_1..h_N and the closed-form tail beyond N."""
-    if n_channels < 1:
-        raise ParameterError(f"n_channels must be >= 1, got {n_channels}")
-    _check_convergence(params)
-    c = params.coupler
-    k = np.arange(2, n_channels + 1, dtype=float)
-    h = np.empty(n_channels)
-    h[0] = params.t0 * params.theta * c.t13 * params.eta
-    if n_channels > 1:
-        h[1:] = (params.t0 * c.t14 * params.theta ** k
-                 * params.tl ** (k - 1.0) * c.t23 * c.t24 ** (k - 2.0)
-                 * params.eta)
-    # Tail: for k >= 2 the profile is geometric with ratio rho, so the mass
-    # beyond N is h_{N+1} / (1 - rho).
-    rho = params.tail_ratio
-    if c.t14 * c.t23 == 0.0:
-        return ChannelProfile(h, 0.0)
-    if n_channels == 1:
-        h_next = (params.t0 * c.t14 * params.theta ** 2 * params.tl
-                  * c.t23 * params.eta)
-    else:
-        h_next = h[-1] * rho
-    remainder = h_next / (1.0 - rho)
-    return ChannelProfile(h, remainder)
+    h, remainder = _series(params, n_channels)
+    return ChannelProfile(h, float(remainder))
 
 
 def total_transmission(params: DeviceParams) -> float:
-    """Closed-form total transmission T = sum over all channels.
-
-    Equals the infinite channel sum; requires theta*tl*t24 < 1.
-    """
-    _check_convergence(params)
-    c = params.coupler
-    if c.t14 * c.t23 == 0.0:
-        # Channels beyond the first carry no light.
-        return params.eta * params.t0 * params.theta * c.t13
-    if c.t24 == 0.0:
-        # Only channels 1 and 2 exist; the closed form below is singular.
-        return (params.eta * params.t0 * params.theta
-                * (c.t13 + c.t14 * params.theta * params.tl * c.t23))
-    bracket = (params.theta * (c.t13 * c.t24 - c.t14 * c.t23) / c.t24
-               - c.t14 * c.t23 * params.theta
-               / (c.t24 * (params.tl * c.t24 * params.theta - 1.0)))
-    return params.eta * params.t0 * bracket
+    """Closed-form total transmission T = h_1 + h_2 / (1 - rho), the sum
+    over all channels; requires theta*tl*t24 < 1."""
+    h1, h2, rho = _geometric(params)
+    return float(h1 + h2 / (1.0 - rho))
 
 
 def total_transmission_simplified(r: float, params: DeviceParams,

@@ -13,11 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .device import ChannelProfile, DeviceParams, channel_transmissions, normalized_channels
-from .errors import NoMaximumError, ParameterError
+from .device import ChannelProfile, DeviceParams, _series, normalized_channels
+from .errors import DegenerateDeviceError, NoMaximumError, ParameterError
 
-#: Channel truncation for entropy work: the tail contribution to E is far
-#: below 1e-10 at realistic losses.
+#: Channel truncation for entropy work.  The tail beyond it is dropped: that
+#: lowers E by up to 1.6e-5 nats on the reference device (r = 0.971; 3.0e-5
+#: normalized) and 0.063 nats on the lossless one (r = 0.985, rho = r near 1).
+#: The optimum does not move: r_star is the same with 3,000 channels.
 ENTROPY_N_CHANNELS = 60
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -94,13 +96,19 @@ def optimize_ratio(params: DeviceParams,
     setting is ignored.
     """
 
-    def entropy_at(r: float) -> float:
-        profile = channel_transmissions(params.with_ratio(r), n_channels)
-        return shannon_entropy(profile, normalized=normalized)
+    def entropy_at(r):
+        """Entropy of the first ``n_channels`` at ratio r, a scalar or a grid."""
+        h, remainder = _series(params, n_channels, r)
+        if normalized:
+            total = h.sum(axis=-1) + remainder
+            if np.any(total <= 0.0):
+                raise DegenerateDeviceError("total transmission is zero")
+            h = h / total[..., None]
+        return -_plogp(h).sum(axis=-1)
 
     n_grid = int(round(1.0 / grid_step)) + 1
     r_grid = np.linspace(0.0, 1.0, n_grid)
-    e_grid = np.array([entropy_at(r) for r in r_grid])
+    e_grid = entropy_at(r_grid)
     if np.ptp(e_grid) < 1e-12:
         raise NoMaximumError("entropy landscape is flat; no maximum exists")
     i = int(np.argmax(e_grid))

@@ -23,7 +23,9 @@ from __future__ import annotations
 
 import json
 import csv
+from contextlib import ExitStack
 from dataclasses import asdict, dataclass
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -289,8 +291,41 @@ def _simulate_batch(source: PhotonSource, params: DeviceParams,
 
 def _batch_worker(args):
     source, params, settings, seed, batch_index, n_pulses = args
-    return _simulate_batch(source, params, settings,
-                           _batch_rng(seed, batch_index), n_pulses)
+    pulse, *rest = _simulate_batch(source, params, settings,
+                                   _batch_rng(seed, batch_index), n_pulses)
+    return (pulse + batch_index * BATCH_SIZE, *rest)
+
+
+def _simulations(runs, params: DeviceParams, n_trials: int, workers: int = 1,
+                 settings: SimSettings | None = None):
+    """Yield the :class:`SimulationResult` of each (source, seed) in
+    ``runs`` in turn.  The batches of all runs form one job list, checked
+    before any runs, so ``workers`` > 1 starts a single process pool."""
+    if n_trials < 1:
+        raise ParameterError("n_trials must be >= 1")
+    settings = settings or SimSettings()
+    n_batches = (n_trials + BATCH_SIZE - 1) // BATCH_SIZE
+    for source, seed in runs:
+        if seed < 0:
+            raise ParameterError("seed must be a nonnegative integer")
+        _check_photons(poisson_truncation(source.mu) if source.kind == "poissonian"
+                       else source.n if source.kind == "fock" else source.pmf.size - 1,
+                       f"a {source.kind} source")
+    jobs = [(source, params, settings, seed, b,
+             min(BATCH_SIZE, n_trials - b * BATCH_SIZE))
+            for source, seed in runs for b in range(n_batches)]
+    with ExitStack() as stack:
+        batches = map(_batch_worker, jobs)  # lazy: one batch at a time
+        if workers > 1 and len(jobs) > 1:
+            from concurrent.futures import ProcessPoolExecutor
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            batches = pool.map(_batch_worker, jobs, chunksize=4)
+        for _, seed in runs:
+            pulse, time, origin, n_photons = (
+                np.concatenate(a) for a in zip(*islice(batches, n_batches)))
+            yield SimulationResult(params=params, settings=settings, seed=seed,
+                                   n_trials=n_trials, pulse=pulse, time_ns=time,
+                                   origin=origin, n_photons=n_photons)
 
 
 def run_simulation(source: PhotonSource, params: DeviceParams,
@@ -298,36 +333,8 @@ def run_simulation(source: PhotonSource, params: DeviceParams,
                    settings: SimSettings | None = None) -> SimulationResult:
     """Simulate ``n_trials`` pulses; deterministic for a given seed and
     settings, independent of ``workers``."""
-    if n_trials < 1:
-        raise ParameterError("n_trials must be >= 1")
-    if seed < 0:
-        raise ParameterError("seed must be a nonnegative integer")
-    _check_photons(poisson_truncation(source.mu) if source.kind == "poissonian"
-                   else source.n if source.kind == "fock" else source.pmf.size - 1,
-                   f"a {source.kind} source")
-    settings = settings or SimSettings()
-
-    n_batches = (n_trials + BATCH_SIZE - 1) // BATCH_SIZE
-    jobs = [(source, params, settings, seed, b,
-             min(BATCH_SIZE, n_trials - b * BATCH_SIZE))
-            for b in range(n_batches)]
-    if workers > 1 and n_batches > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_batch_worker, jobs, chunksize=4))
-    else:
-        results = [_batch_worker(job) for job in jobs]
-
-    pulses, times, origins, photons = [], [], [], []
-    for b, (p, t, o, nph) in enumerate(results):
-        pulses.append(p + b * BATCH_SIZE)
-        times.append(t)
-        origins.append(o)
-        photons.append(nph)
-    return SimulationResult(
-        params=params, settings=settings, seed=seed, n_trials=n_trials,
-        pulse=np.concatenate(pulses), time_ns=np.concatenate(times),
-        origin=np.concatenate(origins), n_photons=np.concatenate(photons))
+    result, = _simulations([(source, seed)], params, n_trials, workers, settings)
+    return result
 
 
 def simulate_pulse(source: PhotonSource, params: DeviceParams,

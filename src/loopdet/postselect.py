@@ -122,17 +122,17 @@ def herald_acceptance_from_mc(params: DeviceParams, n_max: int,
     """Empirical P(accept | n) for n = 0..n_max from noisy herald runs.
 
     Used instead of the analytic Fock statistics when dark counts and
-    afterpulses in the herald arm should be taken into account.
+    afterpulses in the herald arm should be taken into account.  Photon
+    number n runs on seed + n; the batches of all n share one job list.
     """
-    from .montecarlo import run_simulation, window_clicks
+    from .montecarlo import _simulations, window_clicks
 
     if rule not in ACCEPT_RULES:
         raise ParameterError(f"unknown accept rule {rule!r}")
     _check_photons(n_max, f"n_max = {n_max}")  # before any run, not at n_max
     accept = np.zeros(n_max + 1)
-    for n in range(n_max + 1):
-        result = run_simulation(PhotonSource.fock(n), params, n_trials,
-                                seed + n, workers=workers)
+    runs = [(PhotonSource.fock(n), seed + n) for n in range(n_max + 1)]
+    for n, result in enumerate(_simulations(runs, params, n_trials, workers)):
         pulse, channel = window_clicks(result, n_channels)
         clicks = np.bincount(pulse, minlength=n_trials)
         one = clicks == 1

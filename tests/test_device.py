@@ -1,5 +1,7 @@
 """Channel-transmission model: closed forms, tails, and consistency checks."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -103,6 +105,46 @@ class TestTotalTransmission:
                 profile = channel_transmissions(p, 200)
                 partial = profile.h.sum() + profile.remainder
                 assert abs(total_transmission(p) - partial) < 1e-10
+
+    @pytest.mark.parametrize("coupler", [
+        CouplerSetting(t13=0.45, t14=0.5, t23=0.52, t24=0.44),
+        CouplerSetting(t13=0.9, t14=0.3, t23=0.8, t24=0.97),
+        CouplerSetting(t13=0.2, t14=0.7, t23=0.6, t24=0.0),
+        CouplerSetting(t13=0.6, t14=0.0, t23=0.6, t24=0.5),
+        CouplerSetting(t13=0.6, t14=0.4, t23=0.0, t24=0.5),
+    ])
+    @pytest.mark.parametrize("n", [1, 2, 7, 200])
+    def test_general_coupler_partial_sum_oracle(self, coupler, n):
+        # Independent oracle: every channel from its own power formula,
+        # summed in full precision over 3,000 channels (rho <= 0.9 here).
+        p = DeviceParams(t0=0.93, theta=0.97, tl=0.95, eta=0.7, coupler=coupler)
+        c = coupler
+        brute = [p.t0 * p.theta * c.t13 * p.eta] + [
+            p.t0 * c.t14 * p.theta ** k * p.tl ** (k - 1) * c.t23
+            * c.t24 ** (k - 2) * p.eta for k in range(2, 3001)]
+        profile = channel_transmissions(p, n)
+        assert profile.h == pytest.approx(brute[:n], rel=1e-12, abs=1e-300)
+        assert profile.remainder == pytest.approx(math.fsum(brute[n:]),
+                                                  rel=1e-12, abs=1e-300)
+        assert total_transmission(p) == pytest.approx(math.fsum(brute),
+                                                      rel=1e-12)
+
+    def test_series_guard_follows_the_loop_coupling(self):
+        # The convergence guard looks at whether light enters the loop
+        # (t14 * t23 > 0), not at the input losses: a closed lossless loop
+        # is rejected even when t0 = 0 makes every channel dark.
+        edge = CouplerSetting(t13=0.5, t14=0.5, t23=0.5, t24=1.0)
+        for t0 in (0.0, 1.0):
+            p = DeviceParams(t0=t0, theta=1, tl=1, eta=1, coupler=edge)
+            with pytest.raises(DomainError):
+                total_transmission(p)
+        # No light in the loop: the first channel carries everything.
+        shut = DeviceParams(t0=1, theta=1, tl=1, eta=1,
+                            coupler=CouplerSetting(t13=0.8, t14=0.0,
+                                                   t23=0.5, t24=1.0))
+        profile = channel_transmissions(shut, 3)
+        assert (profile.h.tolist(), profile.remainder) == ([0.8, 0.0, 0.0], 0.0)
+        assert total_transmission(shut) == 0.8
 
     def test_divergent_series_rejected(self):
         p = DeviceParams(t0=1, theta=1, tl=1, eta=1,

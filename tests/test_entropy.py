@@ -11,10 +11,11 @@ from loopdet import (
     channel_transmissions,
     ideal_entropy,
     optimize_ratio,
+    reference_device,
     shannon_entropy,
 )
 from loopdet.entropy import ENTROPY_N_CHANNELS
-from loopdet.errors import NoMaximumError, ParameterError
+from loopdet.errors import DegenerateDeviceError, NoMaximumError, ParameterError
 
 
 def lossless(r):
@@ -117,3 +118,35 @@ class TestOptimizeRatio:
         a = optimize_ratio(ref_params, n_channels=ENTROPY_N_CHANNELS).r_star
         b = optimize_ratio(ref_params, n_channels=2 * ENTROPY_N_CHANNELS).r_star
         assert a == pytest.approx(b, abs=1e-6)
+
+    @pytest.mark.parametrize("normalized", [False, True])
+    def test_grid_matches_per_ratio_profiles(self, ref_params, normalized):
+        # Oracle: the public one-ratio path, evaluated point by point.
+        scan = optimize_ratio(ref_params, normalized=normalized)
+        expected = [shannon_entropy(channel_transmissions(
+            ref_params.with_ratio(float(r)), ENTROPY_N_CHANNELS),
+            normalized=normalized) for r in scan.r_grid]
+        assert scan.entropy == pytest.approx(expected, rel=1e-12, abs=1e-12)
+        assert scan.e_star == pytest.approx(shannon_entropy(
+            channel_transmissions(ref_params.with_ratio(scan.r_star),
+                                  ENTROPY_N_CHANNELS),
+            normalized=normalized), rel=1e-12)
+
+    @pytest.mark.parametrize("loss", ["eta", "t0", "theta", "tl"])
+    @pytest.mark.parametrize("normalized", [False, True])
+    def test_dark_devices(self, loss, normalized):
+        # A zero total transmission at any grid point cannot be normalised;
+        # raw entropy is flat when no light arrives at all.  With tl = 0
+        # only channel 1 is lit, and -h ln h peaks at h_1 = 1/e.
+        params = reference_device(**{loss: 0.0})
+        if normalized:
+            with pytest.raises(DegenerateDeviceError):
+                optimize_ratio(params, normalized=True)
+        elif loss != "tl":
+            with pytest.raises(NoMaximumError):
+                optimize_ratio(params)
+        else:
+            scan = optimize_ratio(params)
+            h1_per_r = params.t0 * params.theta * params.eta
+            assert scan.r_star == pytest.approx(1 / (math.e * h1_per_r), abs=1e-5)
+            assert scan.e_star == pytest.approx(1 / math.e, rel=1e-12)

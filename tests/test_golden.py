@@ -193,8 +193,11 @@ def test_empirical_pmf_bytes(device, seed):
 
 @pytest.mark.parametrize("rule", sorted(HERALD_DIGESTS))
 def test_herald_table_bytes(rule):
-    table = herald_acceptance_from_mc(DEVICES["noisy"], 6, rule, 2000, 29)
-    assert digest(table) == HERALD_DIGESTS[rule]
+    # workers=2 sends the seven one-batch runs through one process pool.
+    for workers in (1, 2):
+        table = herald_acceptance_from_mc(DEVICES["noisy"], 6, rule, 2000, 29,
+                                          workers=workers)
+        assert digest(table) == HERALD_DIGESTS[rule]
 
 
 def test_duplicate_window_bytes():

@@ -210,10 +210,29 @@ class TestHeraldAcceptanceFromMc:
         def no_run(*args, **kwargs):
             raise AssertionError("ran a simulation")
 
-        monkeypatch.setattr(mc, "run_simulation", no_run)
+        monkeypatch.setattr(mc, "_batch_worker", no_run)
         with pytest.raises(DomainError, match="MAX_PHOTONS"):
             herald_acceptance_from_mc(ref_params, MAX_PHOTONS + 1,
                                       "exactly-one", 2, 1)
+
+    def test_one_process_pool_for_all_photon_numbers(self, ref_params,
+                                                     monkeypatch):
+        import concurrent.futures
+
+        pools = []
+
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            CountingPool)
+        table = herald_acceptance_from_mc(ref_params, 3, "exactly-one", 500,
+                                          9, workers=2)
+        assert pools == [{"max_workers": 2}]
+        assert np.array_equal(table, herald_acceptance_from_mc(
+            ref_params, 3, "exactly-one", 500, 9, workers=1))
 
 
 class TestWmCurve:
