@@ -26,12 +26,10 @@ from .device import (
     ChannelProfile,
     CouplerSetting,
     DeviceParams,
-    channel_ratio_statistic,
     channel_transmissions,
     normalized_channels,
     reference_device,
     total_transmission,
-    total_transmission_simplified,
 )
 from .entropy import EntropyScan, ideal_entropy, optimize_ratio, shannon_entropy
 from .montecarlo import (
@@ -62,7 +60,6 @@ __all__ = [
     "TofHistogram",
     "accumulate_histogram",
     "calibrate_from_channels",
-    "channel_ratio_statistic",
     "channel_transmissions",
     "custom_click_distribution",
     "device_multi_photon_content",
@@ -85,6 +82,5 @@ __all__ = [
     "simulate_pulse",
     "source_multi_photon_content",
     "total_transmission",
-    "total_transmission_simplified",
     "wm_curve",
 ]

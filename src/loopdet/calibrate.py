@@ -23,7 +23,7 @@ from .errors import (
     ParameterError,
 )
 
-#: Default 1-indexed channel range whose ratios enter the mean statistic.
+#: 1-indexed channels k whose ratios H_{k+1}/(H_k H_1) enter the mean.
 DEFAULT_K_RANGE = (2, 6)
 
 
@@ -72,14 +72,13 @@ def calibrate_from_channels(H,
                             T_over_eta: float,
                             theta: float,
                             sigma=None,
-                            T_over_eta_sigma: float = 0.0,
-                            k_range: tuple[int, int] = DEFAULT_K_RANGE) -> CalibrationResult:
+                            T_over_eta_sigma: float = 0.0) -> CalibrationResult:
     """Full calibration chain from measured normalized channel probabilities.
 
     ``H`` are the measured H_k (1-indexed channel k = position k+1 in the
-    list), optionally with per-channel standard errors ``sigma``.  Channels
-    with zero probability are skipped with a warning.  Uncertainties are
-    propagated linearly.
+    list), optionally with per-channel standard errors ``sigma``.  The pairs
+    k = 2..6 that the data hold enter the mean; a pair with a nonpositive H
+    is skipped with a warning.  Uncertainties are propagated linearly.
     """
     H = np.asarray(H, dtype=float)
     if sigma is None:
@@ -94,29 +93,21 @@ def calibrate_from_channels(H,
     if H[0] <= 0.0:
         raise InsufficientDataError("H_1 must be positive")
 
-    k_lo, k_hi = k_range
-    k_hi = min(k_hi, H.size - 1)
-    warnings: list[str] = []
-    used_k, ratios, variances = [], [], []
-    for k in range(k_lo, k_hi + 1):
-        Hk, Hk1 = H[k - 1], H[k]
-        if Hk <= 0.0 or Hk1 <= 0.0:
-            warnings.append(f"channel pair (k={k}, k+1={k + 1}) skipped: zero probability")
-            continue
-        ratio = Hk1 / (Hk * H[0])
-        # Linearized variance of the ratio in the three H entries.
-        var = ((sigma[k] / (Hk * H[0])) ** 2
-               + (ratio / Hk * sigma[k - 1]) ** 2
-               + (ratio / H[0] * sigma[0]) ** 2)
-        used_k.append(k)
-        ratios.append(ratio)
-        variances.append(var)
-    if len(ratios) < 1:
+    k = np.arange(DEFAULT_K_RANGE[0], min(DEFAULT_K_RANGE[1], H.size - 1) + 1)
+    skipped = (H[k - 1] <= 0.0) | (H[k] <= 0.0)  # a NaN pair is kept
+    warnings = tuple(f"channel pair (k={j}, k+1={j + 1}) skipped: zero probability"
+                     for j in k[skipped])
+    k = k[~skipped]
+    if k.size < 1:
         raise InsufficientDataError("no usable channel ratios in the requested range")
-
-    ratios = np.array(ratios)
+    Hk = H[k - 1]
+    ratios = H[k] / (Hk * H[0])
+    # Linearized variance of each ratio in its three H entries.
+    variances = ((sigma[k] / (Hk * H[0])) ** 2
+                 + (ratios / Hk * sigma[k - 1]) ** 2
+                 + (ratios / H[0] * sigma[0]) ** 2)
     ratio_stat = float(ratios.mean())
-    ratio_sigma = float(np.sqrt(np.sum(variances)) / len(ratios))
+    ratio_sigma = float(np.sqrt(variances.sum()) / k.size)
     tl_hat = infer_tl(ratio_stat, theta)
     t0_hat = infer_t0(T_over_eta, tl_hat, theta)
 
@@ -131,13 +122,13 @@ def calibrate_from_channels(H,
         t0_hat=t0_hat,
         ratio_stat=ratio_stat,
         T_over_eta=T_over_eta,
-        used_k=np.array(used_k),
+        used_k=k,
         ratios=ratios,
         residuals=ratios - ratio_stat,
         ratio_sigma=ratio_sigma,
         tl_sigma=tl_sigma,
         t0_sigma=t0_sigma,
-        warnings=tuple(warnings),
+        warnings=warnings,
     )
 
 

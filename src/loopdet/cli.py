@@ -108,12 +108,12 @@ def cmd_channels(args) -> int:
         columns = ["r"] + [f"H_{k}" for k in range(1, n + 1)] + ["H_rest"]
         rows = []
         for r in grid:
-            profile = channel_transmissions(params.with_ratio(float(r)))
+            profile = channel_transmissions(params.with_ratio(float(r)), n)
             H = normalized_channels(profile)
             row = {"r": float(r)}
             for k in range(1, n + 1):
                 row[f"H_{k}"] = float(H[k - 1])
-            row["H_rest"] = float(H[n:].sum() + profile.remainder / profile.total)
+            row["H_rest"] = profile.remainder / profile.total
             rows.append(row)
         _write_table(rows, columns, cfg.out_format, cfg.out_path)
         return EXIT_OK
@@ -144,12 +144,12 @@ def cmd_optimize(args) -> int:
 def cmd_cm_curve(args) -> int:
     cfg = _load(args)
     grid = _parse_grid(args.mu_grid, "mu")
-    profile = channel_transmissions(cfg.device)
+    profile = channel_transmissions(cfg.device, args.n_channels)
     T = total_transmission(cfg.device)
     rows = []
     for mu in grid:
         mu = float(mu)
-        cm_dev = device_multi_photon_content(mu, profile, args.n_channels)
+        cm_dev = device_multi_photon_content(mu, profile)
         if cfg.reference_plane == "detected":
             cm_src = source_multi_photon_content(PhotonSource.poissonian(mu * T))
         else:
@@ -207,7 +207,7 @@ def cmd_calibrate(args) -> int:
 def cmd_postselect(args) -> int:
     cfg = _load(args)
     grid = _parse_grid(args.mu_grid, "mu")
-    profile = channel_transmissions(cfg.device).truncated(args.n_channels)
+    profile = channel_transmissions(cfg.device, args.n_channels)
     rows = wm_curve(grid, profile, rule=args.rule,
                     signal_transmission=args.signal_transmission)
     _write_table(rows, ["mu", "cm_in", "cm_out", "w_M", "herald_rate"],

@@ -53,21 +53,31 @@ class PhotonSource:
             raise ParameterError(f"pmf sums to {pmf.sum()!r}, not 1")
         return cls(kind="custom", pmf=pmf)
 
+    @property
+    def n_max(self) -> int:
+        """Largest photon number of the source: the Poisson cut-off, the
+        Fock n or the last pmf index; above MAX_PHOTONS is a DomainError."""
+        if self.kind == "poissonian":
+            return poisson_truncation(self.mu)
+        n = self.n if self.kind == "fock" else self.pmf.size - 1
+        return _check_photons(n, f"a {self.kind} source")
+
     def pmf_array(self, n_max: int | None = None) -> np.ndarray:
-        """Photon-number pmf truncated at ``n_max`` (inclusive).
+        """Photon-number pmf truncated at ``n_max`` (inclusive), by default
+        at :attr:`n_max`.
 
         For a Poissonian source the default truncation mu + 10*sqrt(mu) + 20
         leaves tail mass far below 1e-9.
         """
-        if self.kind == "custom":
-            return self.pmf if n_max is None else self.pmf[: n_max + 1]
-        if self.kind == "fock":
-            out = np.zeros((self.n if n_max is None else max(n_max, self.n)) + 1)
-            if n_max is None or self.n <= n_max:
-                out[self.n] = 1.0
-            return out[: (n_max + 1) if n_max is not None else None]
         if n_max is None:
-            n_max = poisson_truncation(self.mu)
+            n_max = self.n_max
+        if self.kind == "custom":
+            return self.pmf[: n_max + 1]
+        if self.kind == "fock":
+            out = np.zeros(n_max + 1)
+            if self.n <= n_max:
+                out[self.n] = 1.0
+            return out
         ns = np.arange(n_max + 1)
         if self.mu == 0.0:
             out = np.zeros(n_max + 1)
@@ -167,7 +177,7 @@ def fock_click_matrix(n_max: int, profile: ChannelProfile) -> np.ndarray:
     """
     if n_max < 0 or int(n_max) != n_max:
         raise ParameterError(f"n_max must be a nonnegative integer, got {n_max}")
-    size = int(n_max) + 1
+    size = _check_photons(int(n_max), f"n_max = {n_max}") + 1
     h = profile.h
     q = 1.0 - float(h.sum())
     if q < -1e-12:
@@ -225,12 +235,9 @@ def source_multi_photon_content(source: PhotonSource) -> float:
     return float(pmf[2:].sum()) / p_ge1
 
 
-def device_multi_photon_content(mu: float, profile: ChannelProfile,
-                                n_channels: int | None = None) -> float:
-    """Device-measured c_M for a Poissonian pulse, optionally counting only
-    the first ``n_channels`` (clicks in later channels treated as lost)."""
-    if n_channels is not None:
-        profile = profile.truncated(n_channels)
+def device_multi_photon_content(mu: float, profile: ChannelProfile) -> float:
+    """Device-measured c_M for a Poissonian pulse over the profile's channels
+    (clicks in later channels are lost)."""
     return multi_photon_content(poisson_click_distribution(mu, profile))
 
 

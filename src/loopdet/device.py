@@ -22,12 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import (
-    DegenerateDeviceError,
-    DomainError,
-    ParameterError,
-    UndefinedRatioError,
-)
+from .errors import DegenerateDeviceError, DomainError, ParameterError
 
 #: Default channel truncation for analytic work.  The profile's remainder
 #: carries the closed-form tail beyond it, so totals stay exact.
@@ -108,11 +103,6 @@ class DeviceParams:
                 "loop_delay_ns must exceed dead_time_ns "
                 f"({self.loop_delay_ns} <= {self.dead_time_ns})"
             )
-
-    @property
-    def tail_ratio(self) -> float:
-        """Geometric ratio h_{k+1}/h_k of the channel profile for k >= 2."""
-        return self.theta * self.tl * self.coupler.t24
 
     def with_ratio(self, r: float) -> "DeviceParams":
         """Copy of these parameters with an ideal coupler at division ratio r."""
@@ -215,25 +205,6 @@ def total_transmission(params: DeviceParams) -> float:
     return float(h1 + h2 / (1.0 - rho))
 
 
-def total_transmission_simplified(r: float, params: DeviceParams,
-                                  first_term_only: bool = False) -> float:
-    """Simplified total transmission for the ideal coupler at ratio r.
-
-    The first term alone, eta*t0*(2*tl*theta - 1)/tl, is the r-independent
-    part used by the loss calibration; the second term carries the weak r
-    dependence.
-    """
-    _check_unit_interval("r", r)
-    a = params.tl * params.theta
-    if r * a >= 1.0 - CONVERGENCE_MARGIN and not first_term_only:
-        raise DomainError(f"r*tl*theta = {r * a!r} too close to or above 1")
-    first = params.eta * params.t0 * (2.0 * a - 1.0) / params.tl
-    if first_term_only:
-        return first
-    second = params.eta * params.t0 * (a - 1.0) ** 2 / (params.tl * (r * a - 1.0))
-    return first - second
-
-
 def normalized_channels(profile: ChannelProfile) -> np.ndarray:
     """Normalized channel probabilities H_k = h_k / T.
 
@@ -243,24 +214,3 @@ def normalized_channels(profile: ChannelProfile) -> np.ndarray:
     if total <= 0.0:
         raise DegenerateDeviceError("total transmission is zero")
     return profile.h / total
-
-
-def channel_ratio_statistic(H, k_min: int = 2, k_max: int = 6) -> float:
-    """Mean over k of H_{k+1} / (H_k * H_1).
-
-    For the ideal-coupler model this statistic is nearly independent of r
-    and k and approximates 2*theta*tl - 1, which is what the loss
-    calibration inverts.  ``k_min``/``k_max`` select the 1-indexed channels
-    entering the mean (k and k+1 must both be available).
-    """
-    H = np.asarray(H, dtype=float)
-    if H.size < 3:
-        raise UndefinedRatioError("need at least 3 channels")
-    k_hi = min(k_max, H.size - 1)
-    if k_hi < k_min:
-        raise UndefinedRatioError("channel range is empty")
-    ks = np.arange(k_min, k_hi + 1)
-    denom = H[ks - 1] * H[0]
-    if H[0] == 0.0 or np.any(denom == 0.0):
-        raise UndefinedRatioError("zero-valued channel in denominator")
-    return float(np.mean(H[ks] / denom))

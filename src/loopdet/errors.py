@@ -25,10 +25,6 @@ class DegenerateDeviceError(DomainError):
     """The device transmits nothing; normalized quantities are undefined."""
 
 
-class UndefinedRatioError(DomainError):
-    """A channel-ratio statistic hit a zero-valued denominator."""
-
-
 class UndefinedContentError(DomainError):
     """Multi-photon content requested for an all-vacuum signal."""
 

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .clickstats import ClickDistribution, PhotonSource, _check_photons, poisson_truncation
+from .clickstats import ClickDistribution, PhotonSource
 from .device import DeviceParams
 from .errors import ParameterError
 
@@ -308,9 +308,7 @@ def _simulations(runs, params: DeviceParams, n_trials: int, workers: int = 1,
     for source, seed in runs:
         if seed < 0:
             raise ParameterError("seed must be a nonnegative integer")
-        _check_photons(poisson_truncation(source.mu) if source.kind == "poissonian"
-                       else source.n if source.kind == "fock" else source.pmf.size - 1,
-                       f"a {source.kind} source")
+        source.n_max  # raises DomainError above MAX_PHOTONS
     jobs = [(source, params, settings, seed, b,
              min(BATCH_SIZE, n_trials - b * BATCH_SIZE))
             for source, seed in runs for b in range(n_batches)]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clickstats import PhotonSource, _check_photons, binomial_matrix, poisson_truncation
+from .clickstats import PhotonSource, _check_photons, binomial_matrix
 from .device import ChannelProfile, DeviceParams
 from .errors import NoAcceptanceError, ParameterError
 
@@ -87,9 +87,6 @@ def postselect(source: PhotonSource, herald_profile: ChannelProfile,
     """
     if not 0.0 < signal_transmission <= 1.0:
         raise ParameterError("signal_transmission must lie in (0, 1]")
-    if n_max is None:
-        n_max = (poisson_truncation(source.mu) if source.kind == "poissonian"
-                 else None)
     pmf = source.pmf_array(n_max)
     if acceptance is None:
         accept = acceptance_probability(rule, np.arange(pmf.size), herald_profile)

@@ -1,7 +1,10 @@
 """Loss-calibration chain: ratio statistic -> tl -> t0, with uncertainties."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loopdet import (
     CouplerSetting,
@@ -12,7 +15,7 @@ from loopdet import (
     infer_tl,
     normalized_channels,
 )
-from loopdet.calibrate import read_channel_csv
+from loopdet.calibrate import DEFAULT_K_RANGE, CalibrationResult, read_channel_csv
 from loopdet.errors import (
     DataError,
     DomainError,
@@ -174,3 +177,103 @@ class TestReadChannelCsv:
         p.write_text("k,H_k\n1,oops\n")
         with pytest.raises(DataError):
             read_channel_csv(p)
+
+
+def per_k_calibration(H, T_over_eta, theta, sigma=None, T_over_eta_sigma=0.0):
+    """Oracle: the calibration chain one channel pair at a time, as first
+    written, with a Python loop and list appends over k = 2..6."""
+    H = np.asarray(H, dtype=float)
+    if sigma is None:
+        sigma = np.zeros_like(H)
+    else:
+        sigma = np.asarray(sigma, dtype=float)
+        if sigma.shape != H.shape:
+            raise DataError("sigma must have one entry per channel")
+    if H.size < 3:
+        raise InsufficientDataError(
+            f"need at least 3 channels, got {H.size}")
+    if H[0] <= 0.0:
+        raise InsufficientDataError("H_1 must be positive")
+    k_lo, k_hi = DEFAULT_K_RANGE
+    k_hi = min(k_hi, H.size - 1)
+    warnings, used_k, ratios, variances = [], [], [], []
+    for k in range(k_lo, k_hi + 1):
+        Hk, Hk1 = H[k - 1], H[k]
+        if Hk <= 0.0 or Hk1 <= 0.0:
+            warnings.append(f"channel pair (k={k}, k+1={k + 1}) skipped: zero probability")
+            continue
+        ratio = Hk1 / (Hk * H[0])
+        var = ((sigma[k] / (Hk * H[0])) ** 2
+               + (ratio / Hk * sigma[k - 1]) ** 2
+               + (ratio / H[0] * sigma[0]) ** 2)
+        used_k.append(k)
+        ratios.append(ratio)
+        variances.append(var)
+    if len(ratios) < 1:
+        raise InsufficientDataError("no usable channel ratios in the requested range")
+    ratios = np.array(ratios)
+    ratio_stat = float(ratios.mean())
+    ratio_sigma = float(np.sqrt(np.sum(variances)) / len(ratios))
+    tl_hat = infer_tl(ratio_stat, theta)
+    t0_hat = infer_t0(T_over_eta, tl_hat, theta)
+    tl_sigma = ratio_sigma / (2.0 * theta)
+    denom = 2.0 * tl_hat * theta - 1.0
+    t0_sigma = float(np.hypot(tl_hat / denom * T_over_eta_sigma,
+                              -T_over_eta / denom ** 2 * tl_sigma))
+    return CalibrationResult(
+        tl_hat=tl_hat, t0_hat=t0_hat, ratio_stat=ratio_stat,
+        T_over_eta=T_over_eta, used_k=np.array(used_k), ratios=ratios,
+        residuals=ratios - ratio_stat, ratio_sigma=ratio_sigma,
+        tl_sigma=tl_sigma, t0_sigma=t0_sigma, warnings=tuple(warnings))
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # the class and message are compared
+        return exc
+
+
+#: A channel value: measured, zero, negative or missing (NaN).
+CHANNEL = st.one_of(st.floats(1e-3, 1.0), st.sampled_from([0.0, -0.1, math.nan]))
+
+
+@st.composite
+def calibration_inputs(draw):
+    """Channels from the forward model with a few entries overwritten, or
+    arbitrary ones; with or without per-channel sigma."""
+    theta, T_over_eta = draw(st.floats(0.5, 1.0)), draw(st.floats(0.3, 1.0))
+    if draw(st.integers(0, 3)):
+        n = draw(st.integers(3, 9))
+        params = device(draw(st.floats(0.8, 1.0)), draw(st.floats(0.85, 0.99)),
+                        r=draw(st.floats(0.2, 0.7)))
+        profile = channel_transmissions(params, n)
+        H = normalized_channels(profile)
+        theta, T_over_eta = params.theta, profile.total / params.eta
+        for i in draw(st.lists(st.integers(0, n - 1), max_size=2)):
+            H[i] = draw(CHANNEL)
+    else:
+        n = draw(st.integers(0, 9))
+        H = np.array(draw(st.lists(CHANNEL, min_size=n, max_size=n)))
+    sigma = draw(st.one_of(
+        st.none(), st.lists(st.floats(0.0, 0.05), min_size=n, max_size=n)))
+    return H, T_over_eta, theta, sigma, draw(st.floats(0.0, 0.05))
+
+
+@settings(max_examples=300, deadline=None)
+@given(calibration_inputs())
+def test_array_pass_matches_per_k_loop(args):
+    got = outcome(calibrate_from_channels, *args)
+    want = outcome(per_k_calibration, *args)
+    if isinstance(want, Exception):
+        assert (type(got), str(got)) == (type(want), str(want))
+        return
+    assert isinstance(got, CalibrationResult)
+    for name in ("tl_hat", "t0_hat", "ratio_stat", "T_over_eta", "warnings"):
+        assert getattr(got, name) == getattr(want, name), name
+    for name in ("used_k", "ratios", "residuals"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    for name in ("ratio_sigma", "tl_sigma", "t0_sigma"):
+        assert getattr(got, name) == pytest.approx(getattr(want, name),
+                                                   rel=1e-15, abs=0.0), name

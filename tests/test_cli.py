@@ -249,6 +249,22 @@ class TestChannelsCommand:
         assert code == EXIT_CONFIG
         assert "--n-channels" in err
 
+    @pytest.mark.parametrize("command", [
+        ["channels"], ["channels", "--r-sweep", "0.3:0.6:3"],
+        ["cm-curve", "--mu-grid", "1"], ["postselect", "--mu-grid", "1"]])
+    def test_more_than_thirty_channels(self, capsys, tmp_path, command):
+        out = tmp_path / "out.csv"
+        code, _, err = run(capsys, *command, "--n-channels", "31",
+                           "--out", str(out))
+        assert (code, err) == (EXIT_OK, "")
+        rows = read_csv(out)
+        if "--r-sweep" in command:
+            for row in rows:
+                H = [float(row[f"H_{k}"]) for k in range(1, 32)]
+                assert sum(H) + float(row["H_rest"]) == pytest.approx(1.0, abs=1e-12)
+        elif command == ["channels"]:
+            assert [r["k"] for r in rows] == [*map(str, range(1, 32)), "tail"]
+
     def test_bad_sweep_grid(self, capsys):
         code, _, err = run(capsys, "channels", "--r-sweep", "oops")
         assert code == EXIT_CONFIG
@@ -431,6 +447,49 @@ class TestCalibrateCommand:
         assert code == EXIT_DATA
 
 
+#: The README example, the same channels from a CSV with sigma_k, and a
+#: zero channel that makes two pairs unusable.
+CALIBRATE_H = "0.39,0.42,0.13,0.04,0.012,0.004,0.0013"
+CALIBRATE_CSV = ("k,H_k,sigma_k\n1,0.39,0.004\n2,0.42,0.004\n3,0.13,0.002\n"
+                 "4,0.04,0.001\n5,0.012,0.0005\n6,0.004,0.0002\n7,0.0013,0.0001\n")
+CALIBRATE_ROWS = (
+    "k,ratio,residual\n2,0.7936507936507937,-0.014323283554052768\n"
+    "3,0.7889546351084813,-0.01901944209636519\n"
+    "4,0.7692307692307692,-0.03874330797407732\n"
+    "5,0.8547008547008547,0.046726777496008176\n"
+    "6,0.8333333333333331,0.025359256128486662\n")
+#: stdout, stderr and --out CSV, recorded from the per-k loop implementation.
+CALIBRATE_BYTES = {
+    "readme": (
+        ["--channels", CALIBRATE_H],
+        "ratio_stat = 0.8080 +- 0.0000\ntl_hat = 0.9466 +- 0.0000\n"
+        "t0_hat = 0.9138 +- 0.0000\n", "", CALIBRATE_ROWS),
+    "csv-sigma": (
+        ["--input", "channels.csv"],
+        "ratio_stat = 0.8080 +- 0.0214\ntl_hat = 0.9466 +- 0.0112\n"
+        "t0_hat = 0.9138 +- 0.0134\n", "", CALIBRATE_ROWS),
+    "zero-channel": (
+        ["--channels", "0.39,0.42,0.13,0,0.012,0.004,0.0013"],
+        "ratio_stat = 0.8272 +- 0.0000\ntl_hat = 0.9567 +- 0.0000\n"
+        "t0_hat = 0.9020 +- 0.0000\n",
+        "warning: channel pair (k=3, k+1=4) skipped: zero probability\n"
+        "warning: channel pair (k=4, k+1=5) skipped: zero probability\n",
+        "k,ratio,residual\n2,0.7936507936507937,-0.03357753357753335\n"
+        "5,0.8547008547008547,0.027472527472527597\n"
+        "6,0.8333333333333331,0.006105006105006083\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CALIBRATE_BYTES))
+def test_calibrate_output_bytes(capsys, tmp_path, monkeypatch, case):
+    argv, stdout, stderr, rows = CALIBRATE_BYTES[case]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "channels.csv").write_text(CALIBRATE_CSV)
+    assert run(capsys, "calibrate", *argv, "--out", "out.csv") == \
+        (EXIT_OK, stdout, stderr)
+    assert (tmp_path / "out.csv").read_bytes() == rows.encode()
+
+
 class TestPostselectCommand:
     def test_curve(self, capsys, tmp_path):
         out = tmp_path / "wm.csv"
@@ -529,7 +588,7 @@ OPTION_VALUES = {
     "--workers": ["1", "0", "-1", "x"],
     "--mu": NUMBERS, "--r": NUMBERS, "--t-over-eta": NUMBERS,
     "--theta": NUMBERS, "--signal-transmission": NUMBERS,
-    "--n-channels": ["1", "3", "0", "-1", "x"],
+    "--n-channels": ["1", "3", "31", "0", "-1", "x"],
     "--r-sweep": GRIDS, "--mu-grid": GRIDS,
     "--reference-plane": ["input", "detected", "x"],
     "--input": ["channels.csv", "bad.csv", "missing.csv"],

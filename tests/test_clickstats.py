@@ -136,6 +136,14 @@ class TestFockClickDistribution:
             with pytest.raises(DomainError, match="MAX_PHOTONS"):
                 poisson_truncation(mu)
 
+    def test_photon_ceiling(self, ref_params):
+        # Checked before the (n+1) x (n+1) kernel is built.
+        prof = channel_transmissions(ref_params, 15)
+        with pytest.raises(DomainError, match="MAX_PHOTONS"):
+            fock_click_distribution(MAX_PHOTONS + 1, prof)
+        with pytest.raises(DomainError, match="MAX_PHOTONS"):
+            custom_click_distribution(PhotonSource.fock(MAX_PHOTONS + 1), prof)
+
     def test_poisson_mixture_matches_poisson_binomial(self, ref_params):
         # Poisson input thins into independent channels, so the Fock mixture
         # must equal the Poisson-binomial of 1 - exp(-mu h_k).
@@ -262,7 +270,7 @@ class TestMultiPhotonContent:
 
     def test_monotone_in_counted_channels(self, ref_params):
         prof = channel_transmissions(ref_params, 15)
-        values = [device_multi_photon_content(4.26, prof, m)
+        values = [device_multi_photon_content(4.26, prof.truncated(m))
                   for m in range(2, 16)]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 

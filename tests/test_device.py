@@ -9,18 +9,18 @@ from loopdet import (
     ChannelProfile,
     CouplerSetting,
     DeviceParams,
-    channel_ratio_statistic,
+    calibrate_from_channels,
     channel_transmissions,
+    infer_t0,
     normalized_channels,
     reference_device,
     total_transmission,
-    total_transmission_simplified,
 )
 from loopdet.errors import (
     DegenerateDeviceError,
     DomainError,
+    InsufficientDataError,
     ParameterError,
-    UndefinedRatioError,
 )
 
 
@@ -57,8 +57,8 @@ class TestChannelTransmissions:
     def test_geometric_tail_ratio(self, ref_params):
         profile = channel_transmissions(ref_params, 12)
         ratios = profile.h[2:] / profile.h[1:-1]
-        assert ratios == pytest.approx(
-            [ref_params.tail_ratio] * ratios.size, rel=1e-12)
+        rho = ref_params.theta * ref_params.tl * ref_params.coupler.t24
+        assert ratios == pytest.approx([rho] * ratios.size, rel=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 5, 30, 200])
     def test_truncation_consistency(self, ref_params, n):
@@ -177,25 +177,41 @@ class TestTotalTransmission:
                 assert 0 <= total_transmission(p) <= eta + 1e-12
 
 
+def simplified_total(r, p):
+    """The paper's simplified T for the ideal coupler at ratio r, with
+    a = tl*theta: eta*t0*(2a - 1)/tl (the first term) minus
+    eta*t0*(a - 1)**2 / (tl*(r*a - 1))."""
+    a = p.tl * p.theta
+    first = p.eta * p.t0 * (2 * a - 1) / p.tl
+    return first, first - p.eta * p.t0 * (a - 1) ** 2 / (p.tl * (r * a - 1))
+
+
 class TestSimplifiedTransmission:
+    """total_transmission against the paper's simplified closed form."""
+
     def test_lossless_is_unity(self):
         p = lossless(0.3)
         for r in (0.1, 0.5, 0.9):
-            assert total_transmission_simplified(r, p) == pytest.approx(1.0)
+            assert simplified_total(r, p)[1] == pytest.approx(1.0)
+            assert total_transmission(p.with_ratio(r)) == pytest.approx(1.0)
 
     def test_first_term_only_reference(self, ref_params):
-        T = total_transmission_simplified(0.45, ref_params, first_term_only=True)
-        assert T / ref_params.eta == pytest.approx(0.778, abs=5e-4)
+        # The r-independent first term is what the loss calibration inverts.
+        first, _ = simplified_total(0.45, ref_params)
+        assert first / ref_params.eta == pytest.approx(0.778, abs=5e-4)
+        assert infer_t0(first / ref_params.eta, ref_params.tl,
+                        ref_params.theta) == pytest.approx(ref_params.t0, rel=1e-12)
 
     def test_full_form_reference(self, ref_params):
-        T = total_transmission_simplified(0.45, ref_params)
-        assert T / ref_params.eta == pytest.approx(0.796, abs=5e-4)
+        for T in (total_transmission(ref_params.with_ratio(0.45)),
+                  simplified_total(0.45, ref_params)[1]):
+            assert T / ref_params.eta == pytest.approx(0.796, abs=5e-4)
 
     def test_matches_exact_form_for_ideal_coupler(self, ref_params):
         # For an ideal coupler the simplified form is not an approximation.
         for r in (0.2, 0.446, 0.8):
             exact = total_transmission(ref_params.with_ratio(r))
-            assert total_transmission_simplified(r, ref_params) == \
+            assert simplified_total(r, ref_params)[1] == \
                 pytest.approx(exact, rel=1e-12)
 
 
@@ -226,33 +242,42 @@ class TestNormalizedChannels:
         assert best < 0.12
 
 
+def ratio_stat(params, n=30):
+    """Mean H_{k+1}/(H_k H_1) over k = 2..6 of the model's profile, as the
+    loss calibration computes it."""
+    profile = channel_transmissions(params, n)
+    return calibrate_from_channels(
+        normalized_channels(profile), T_over_eta=profile.total / params.eta,
+        theta=params.theta).ratio_stat
+
+
 class TestChannelRatioStatistic:
     def test_lossless_balanced_is_unity(self):
-        H = normalized_channels(channel_transmissions(lossless(0.5), 30))
-        assert channel_ratio_statistic(H) == pytest.approx(1.0, rel=1e-9)
+        assert ratio_stat(lossless(0.5)) == pytest.approx(1.0, rel=1e-9)
 
     def test_approximates_loss_product(self, ref_params):
         # The statistic tracks 2*theta*tl - 1 = 0.7954 up to the weak
         # r-dependence of the total transmission.
-        H = normalized_channels(channel_transmissions(ref_params.with_ratio(0.45)))
-        stat = channel_ratio_statistic(H)
+        stat = ratio_stat(ref_params.with_ratio(0.45))
         target = 2 * ref_params.theta * ref_params.tl - 1
         assert target == pytest.approx(0.7954, abs=1e-4)
         assert stat == pytest.approx(target, abs=0.03)
 
     def test_nearly_independent_of_r(self, ref_params):
-        stats = []
-        for r in np.linspace(0.3, 0.6, 13):
-            H = normalized_channels(
-                channel_transmissions(ref_params.with_ratio(float(r))))
-            stats.append(channel_ratio_statistic(H))
+        stats = [ratio_stat(ref_params.with_ratio(float(r)))
+                 for r in np.linspace(0.3, 0.6, 13)]
         assert max(stats) - min(stats) < 0.02
 
-    def test_zero_channel_raises(self):
-        with pytest.raises(UndefinedRatioError):
-            channel_ratio_statistic([0.5, 0.0, 0.2, 0.1])
-        with pytest.raises(UndefinedRatioError):
-            channel_ratio_statistic([0.5, 0.3])
+    def test_zero_channel_pair_skipped(self):
+        # A zero H_k drops its pairs with a warning; a zero H_1 or fewer
+        # than three channels leave no statistic at all.
+        res = calibrate_from_channels([0.5, 0.0, 0.2, 0.1], T_over_eta=0.78,
+                                      theta=1.0)
+        assert res.used_k.tolist() == [3] and res.ratio_stat == pytest.approx(1.0)
+        assert res.warnings == ("channel pair (k=2, k+1=3) skipped: zero probability",)
+        for H in ([0.0, 0.5, 0.2, 0.1], [0.5, 0.3]):
+            with pytest.raises(InsufficientDataError):
+                calibrate_from_channels(H, T_over_eta=0.78, theta=1.0)
 
 
 class TestCouplerSetting:

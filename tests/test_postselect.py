@@ -172,6 +172,17 @@ class TestPostselect:
         with pytest.raises(NoAcceptanceError):
             postselect(PhotonSource.custom([1.0]), lossless_profile(0.5, 20))
 
+    @pytest.mark.parametrize("kind", ["fock", "custom"])
+    def test_photon_ceiling(self, ref_params, kind):
+        pmf = np.zeros(MAX_PHOTONS + 2)
+        pmf[-1] = 1.0
+        source = (PhotonSource.fock(MAX_PHOTONS + 1) if kind == "fock"
+                  else PhotonSource.custom(pmf))
+        prof = channel_transmissions(ref_params, 15)
+        with pytest.raises(DomainError, match="MAX_PHOTONS"):
+            postselect(source, prof)
+        assert postselect(PhotonSource.fock(MAX_PHOTONS), prof).herald_rate > 0
+
     def test_bad_signal_transmission(self, ref_params):
         prof = channel_transmissions(ref_params, 10)
         with pytest.raises(ParameterError):
