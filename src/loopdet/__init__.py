@@ -14,7 +14,6 @@ from .clickstats import (
     ClickDistribution,
     PhotonSource,
     custom_click_distribution,
-    device_multi_photon_content,
     fock_click_distribution,
     fock_click_matrix,
     infer_mu,
@@ -31,9 +30,8 @@ from .device import (
     reference_device,
     total_transmission,
 )
-from .entropy import EntropyScan, ideal_entropy, optimize_ratio, shannon_entropy
+from .entropy import EntropyScan, optimize_ratio, shannon_entropy
 from .montecarlo import (
-    PulseOutcome,
     SimSettings,
     SimulationResult,
     TofHistogram,
@@ -41,7 +39,6 @@ from .montecarlo import (
     empirical_click_distribution,
     false_cm_bound,
     run_simulation,
-    simulate_pulse,
 )
 from .postselect import PostselectResult, postselect, wm_curve
 
@@ -54,7 +51,6 @@ __all__ = [
     "EntropyScan",
     "PhotonSource",
     "PostselectResult",
-    "PulseOutcome",
     "SimSettings",
     "SimulationResult",
     "TofHistogram",
@@ -62,12 +58,10 @@ __all__ = [
     "calibrate_from_channels",
     "channel_transmissions",
     "custom_click_distribution",
-    "device_multi_photon_content",
     "empirical_click_distribution",
     "false_cm_bound",
     "fock_click_distribution",
     "fock_click_matrix",
-    "ideal_entropy",
     "infer_mu",
     "infer_t0",
     "infer_tl",
@@ -79,7 +73,6 @@ __all__ = [
     "reference_device",
     "run_simulation",
     "shannon_entropy",
-    "simulate_pulse",
     "source_multi_photon_content",
     "total_transmission",
     "wm_curve",

@@ -76,9 +76,10 @@ def calibrate_from_channels(H,
     """Full calibration chain from measured normalized channel probabilities.
 
     ``H`` are the measured H_k (1-indexed channel k = position k+1 in the
-    list), optionally with per-channel standard errors ``sigma``.  The pairs
-    k = 2..6 that the data hold enter the mean; a pair with a nonpositive H
-    is skipped with a warning.  Uncertainties are propagated linearly.
+    list), optionally with per-channel standard errors ``sigma``; a
+    non-finite entry is a DataError.  The pairs k = 2..6 that the data hold
+    enter the mean; a pair with a nonpositive H is skipped with a warning.
+    Uncertainties are propagated linearly.
     """
     H = np.asarray(H, dtype=float)
     if sigma is None:
@@ -87,6 +88,11 @@ def calibrate_from_channels(H,
         sigma = np.asarray(sigma, dtype=float)
         if sigma.shape != H.shape:
             raise DataError("sigma must have one entry per channel")
+    bad = np.flatnonzero(~(np.isfinite(H) & np.isfinite(sigma)))
+    if bad.size:
+        j = bad[0]
+        raise DataError(f"channel k={j + 1} is not finite: "
+                        f"H_k = {float(H[j])!r}, sigma_k = {float(sigma[j])!r}")
     if H.size < 3:
         raise InsufficientDataError(
             f"need at least 3 channels, got {H.size}")
@@ -94,8 +100,8 @@ def calibrate_from_channels(H,
         raise InsufficientDataError("H_1 must be positive")
 
     k = np.arange(DEFAULT_K_RANGE[0], min(DEFAULT_K_RANGE[1], H.size - 1) + 1)
-    skipped = (H[k - 1] <= 0.0) | (H[k] <= 0.0)  # a NaN pair is kept
-    warnings = tuple(f"channel pair (k={j}, k+1={j + 1}) skipped: zero probability"
+    skipped = (H[k - 1] <= 0.0) | (H[k] <= 0.0)
+    warnings = tuple(f"channel pair (k={j}, k+1={j + 1}) skipped: nonpositive probability"
                      for j in k[skipped])
     k = k[~skipped]
     if k.size < 1:

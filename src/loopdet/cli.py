@@ -24,7 +24,8 @@ from . import __version__
 from .calibrate import calibrate_from_channels, read_channel_csv
 from .clickstats import (
     PhotonSource,
-    device_multi_photon_content,
+    multi_photon_content,
+    poisson_click_distribution,
     source_multi_photon_content,
 )
 from .config import RunConfig, load_config
@@ -149,7 +150,7 @@ def cmd_cm_curve(args) -> int:
     rows = []
     for mu in grid:
         mu = float(mu)
-        cm_dev = device_multi_photon_content(mu, profile)
+        cm_dev = multi_photon_content(poisson_click_distribution(mu, profile))
         if cfg.reference_plane == "detected":
             cm_src = source_multi_photon_content(PhotonSource.poissonian(mu * T))
         else:

@@ -64,13 +64,12 @@ class PhotonSource:
 
     def pmf_array(self, n_max: int | None = None) -> np.ndarray:
         """Photon-number pmf truncated at ``n_max`` (inclusive), by default
-        at :attr:`n_max`.
+        at :attr:`n_max`; above MAX_PHOTONS is a DomainError.
 
         For a Poissonian source the default truncation mu + 10*sqrt(mu) + 20
         leaves tail mass far below 1e-9.
         """
-        if n_max is None:
-            n_max = self.n_max
+        n_max = self.n_max if n_max is None else _check_photons(n_max, f"n_max = {n_max}")
         if self.kind == "custom":
             return self.pmf[: n_max + 1]
         if self.kind == "fock":
@@ -233,12 +232,6 @@ def source_multi_photon_content(source: PhotonSource) -> float:
     if p_ge1 <= 0.0:
         raise UndefinedContentError("vacuum-only source")
     return float(pmf[2:].sum()) / p_ge1
-
-
-def device_multi_photon_content(mu: float, profile: ChannelProfile) -> float:
-    """Device-measured c_M for a Poissonian pulse over the profile's channels
-    (clicks in later channels are lost)."""
-    return multi_photon_content(poisson_click_distribution(mu, profile))
 
 
 def infer_mu(p_nonvacuum: float, total_transmission: float) -> float:

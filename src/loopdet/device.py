@@ -180,22 +180,15 @@ def _geometric(params: DeviceParams, r=None):
     return a * t13, a * t14 * params.theta * params.tl * t23, rho * looped
 
 
-def _series(params: DeviceParams, n_channels: int, r=None):
-    """h_1..h_N and the closed-form tail h_2 * rho**(N-1) / (1 - rho),
-    along a last axis of length N for array ``r``."""
-    if n_channels < 1:
-        raise ParameterError(f"n_channels must be >= 1, got {n_channels}")
-    h1, h2, rho = (np.asarray(x, dtype=float)[..., None]
-                   for x in _geometric(params, r))
-    h = np.concatenate([h1, h2 * rho ** np.arange(n_channels - 1)], axis=-1)
-    return h, (h2 * rho ** (n_channels - 1) / (1.0 - rho))[..., 0]
-
-
 def channel_transmissions(params: DeviceParams,
                           n_channels: int = DEFAULT_N_CHANNELS) -> ChannelProfile:
-    """Per-channel transmissions h_1..h_N and the closed-form tail beyond N."""
-    h, remainder = _series(params, n_channels)
-    return ChannelProfile(h, float(remainder))
+    """Per-channel transmissions h_1..h_N and the closed-form tail
+    h_2 * rho**(N-1) / (1 - rho) beyond N."""
+    if n_channels < 1:
+        raise ParameterError(f"n_channels must be >= 1, got {n_channels}")
+    h1, h2, rho = (np.asarray(x, dtype=float) for x in _geometric(params))
+    h = np.r_[h1, h2 * rho ** np.arange(n_channels - 1)]
+    return ChannelProfile(h, float(h2 * rho ** (n_channels - 1) / (1.0 - rho)))
 
 
 def total_transmission(params: DeviceParams) -> float:

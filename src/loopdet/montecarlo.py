@@ -58,21 +58,6 @@ class SimSettings:
 
 
 @dataclass(frozen=True)
-class PulseOutcome:
-    """Registered clicks of a single pulse.
-
-    ``click_channels`` uses 0 for noise clicks (dark counts and
-    afterpulses) and k >= 1 for time-multiplexed channel k; ``origins``
-    additionally distinguishes afterpulses (-1) from dark counts (0).
-    """
-
-    click_times_ns: np.ndarray
-    click_channels: np.ndarray
-    n_photons_generated: int
-    origins: np.ndarray
-
-
-@dataclass(frozen=True)
 class SimulationResult:
     """Flat event record of a full run: one row per registered click.
     Invariant: the rows are sorted by (pulse, time, origin)."""
@@ -85,16 +70,6 @@ class SimulationResult:
     time_ns: np.ndarray    # click time
     origin: np.ndarray     # channel k >= 1, ORIGIN_DARK, or ORIGIN_AFTERPULSE
     n_photons: np.ndarray  # photons generated per pulse
-
-    def outcome(self, i: int) -> PulseOutcome:
-        mask = self.pulse == i
-        origins = self.origin[mask]
-        return PulseOutcome(
-            click_times_ns=self.time_ns[mask],
-            click_channels=np.maximum(origins, 0),
-            n_photons_generated=int(self.n_photons[i]),
-            origins=origins,
-        )
 
 
 @dataclass(frozen=True)
@@ -109,11 +84,6 @@ class TofHistogram:
     @property
     def n_bins(self) -> int:
         return int(self.counts.size)
-
-    @property
-    def probabilities(self) -> np.ndarray:
-        """Per-bin detection probability (counts / trials)."""
-        return self.counts / float(self.n_trials)
 
 
 class FalseClickBounds(NamedTuple):
@@ -333,18 +303,6 @@ def run_simulation(source: PhotonSource, params: DeviceParams,
     settings, independent of ``workers``."""
     result, = _simulations([(source, seed)], params, n_trials, workers, settings)
     return result
-
-
-def simulate_pulse(source: PhotonSource, params: DeviceParams,
-                   rng: np.random.Generator,
-                   settings: SimSettings | None = None) -> PulseOutcome:
-    """Single-pulse simulation drawing from the supplied random stream."""
-    _, time, origin, n_photons = _simulate_batch(
-        source, params, settings or SimSettings(), rng, 1)
-    return PulseOutcome(click_times_ns=time,
-                        click_channels=np.maximum(origin, 0),
-                        n_photons_generated=int(n_photons[0]),
-                        origins=origin)
 
 
 def accumulate_histogram(result: SimulationResult) -> TofHistogram:

@@ -28,12 +28,12 @@ from loopdet import (
     calibrate_from_channels,
     channel_transmissions,
     custom_click_distribution,
-    device_multi_photon_content,
     empirical_click_distribution,
     false_cm_bound,
     fock_click_distribution,
     infer_t0,
     infer_tl,
+    multi_photon_content,
     optimize_ratio,
     poisson_click_distribution,
     reference_device,
@@ -128,7 +128,8 @@ def test_criterion_04_multiphoton_content_vs_source(report):
     h = profile.h
     T15 = float(h.sum())
     mu = 4.26
-    cm_dev = device_multi_photon_content(mu, profile.truncated(15))
+    cm_dev = multi_photon_content(
+        poisson_click_distribution(mu, profile.truncated(15)))
     cm_src_detected = source_multi_photon_content(
         PhotonSource.poissonian(mu * T15))
     cm_src_input = source_multi_photon_content(PhotonSource.poissonian(mu))
@@ -155,7 +156,8 @@ def test_criterion_05_channel_count_monotonicity(report):
     ok = True
     for r in np.arange(0.05, 1.0, 0.05):
         profile = channel_transmissions(params.with_ratio(float(r)), 15)
-        values = [device_multi_photon_content(4.26, profile.truncated(m))
+        values = [multi_photon_content(
+                      poisson_click_distribution(4.26, profile.truncated(m)))
                   for m in (2, 3, 4, 15)]
         ok &= all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
     ok &= time.perf_counter() - start < 5.0
@@ -178,7 +180,8 @@ def test_criterion_06_entropy_performance_alignment(report):
 
     def cm_at(r):
         profile = channel_transmissions(params.with_ratio(r), 15)
-        return device_multi_photon_content(4.26, profile.truncated(15))
+        return multi_photon_content(
+            poisson_click_distribution(4.26, profile.truncated(15)))
 
     grid = np.linspace(0.05, 0.95, 181)
     r_cm = float(grid[np.argmax([cm_at(float(r)) for r in grid])])

@@ -128,6 +128,22 @@ class TestCalibrateFromChannels:
         assert len(result.warnings) == 2  # pairs (3,4) and (4,5)
         assert 3 not in result.used_k and 4 not in result.used_k
 
+    def test_negative_channel_skipped_as_nonpositive(self):
+        H = np.array([0.39, 0.42, 0.13, -0.01, 0.012, 0.004, 0.0013])
+        result = calibrate_from_channels(H, T_over_eta=0.78, theta=0.955)
+        assert result.warnings == tuple(
+            f"channel pair (k={k}, k+1={k + 1}) skipped: nonpositive probability"
+            for k in (3, 4))
+
+    @pytest.mark.parametrize("H,sigma,k", [
+        ([math.nan, 0.1, 0.1], None, 1),
+        ([0.39, 0.42, 0.13, math.inf, 0.012], None, 4),
+        ([0.39, 0.42, 0.13], [0.0, math.nan, 0.0], 2),
+    ])
+    def test_nonfinite_channel_is_data_error(self, H, sigma, k):
+        with pytest.raises(DataError, match=rf"^channel k={k} is not finite"):
+            calibrate_from_channels(H, T_over_eta=0.78, theta=0.955, sigma=sigma)
+
     def test_too_few_channels(self):
         with pytest.raises(InsufficientDataError):
             calibrate_from_channels([0.5, 0.3], T_over_eta=0.78, theta=0.955)
@@ -189,6 +205,10 @@ def per_k_calibration(H, T_over_eta, theta, sigma=None, T_over_eta_sigma=0.0):
         sigma = np.asarray(sigma, dtype=float)
         if sigma.shape != H.shape:
             raise DataError("sigma must have one entry per channel")
+    for k, (Hk, sk) in enumerate(zip(H, sigma), start=1):
+        if not (math.isfinite(Hk) and math.isfinite(sk)):
+            raise DataError(f"channel k={k} is not finite: "
+                            f"H_k = {float(Hk)!r}, sigma_k = {float(sk)!r}")
     if H.size < 3:
         raise InsufficientDataError(
             f"need at least 3 channels, got {H.size}")
@@ -200,7 +220,8 @@ def per_k_calibration(H, T_over_eta, theta, sigma=None, T_over_eta_sigma=0.0):
     for k in range(k_lo, k_hi + 1):
         Hk, Hk1 = H[k - 1], H[k]
         if Hk <= 0.0 or Hk1 <= 0.0:
-            warnings.append(f"channel pair (k={k}, k+1={k + 1}) skipped: zero probability")
+            warnings.append(
+                f"channel pair (k={k}, k+1={k + 1}) skipped: nonpositive probability")
             continue
         ratio = Hk1 / (Hk * H[0])
         var = ((sigma[k] / (Hk * H[0])) ** 2

@@ -440,6 +440,11 @@ class TestCalibrateCommand:
         code, _, _ = run(capsys, "calibrate", "--channels", "0.5,0.3")
         assert code == EXIT_DATA
 
+    def test_nan_channel_is_named(self, capsys):
+        code, _, err = run(capsys, "calibrate", "--channels", "nan,0.1,0.1")
+        assert code == EXIT_DATA
+        assert err == "data error: channel k=1 is not finite: H_k = nan, sigma_k = 0.0\n"
+
     def test_inconsistent_measurement_is_data_error(self, capsys):
         # A ratio statistic implying tl > 1 must be rejected, not clipped.
         code, _, _ = run(capsys, "calibrate", "--channels",
@@ -472,8 +477,8 @@ CALIBRATE_BYTES = {
         ["--channels", "0.39,0.42,0.13,0,0.012,0.004,0.0013"],
         "ratio_stat = 0.8272 +- 0.0000\ntl_hat = 0.9567 +- 0.0000\n"
         "t0_hat = 0.9020 +- 0.0000\n",
-        "warning: channel pair (k=3, k+1=4) skipped: zero probability\n"
-        "warning: channel pair (k=4, k+1=5) skipped: zero probability\n",
+        "warning: channel pair (k=3, k+1=4) skipped: nonpositive probability\n"
+        "warning: channel pair (k=4, k+1=5) skipped: nonpositive probability\n",
         "k,ratio,residual\n2,0.7936507936507937,-0.03357753357753335\n"
         "5,0.8547008547008547,0.027472527472527597\n"
         "6,0.8333333333333331,0.006105006105006083\n"),

@@ -12,7 +12,6 @@ from loopdet import (
     ChannelProfile,
     PhotonSource,
     custom_click_distribution,
-    device_multi_photon_content,
     fock_click_distribution,
     infer_mu,
     multi_photon_content,
@@ -144,6 +143,12 @@ class TestFockClickDistribution:
         with pytest.raises(DomainError, match="MAX_PHOTONS"):
             custom_click_distribution(PhotonSource.fock(MAX_PHOTONS + 1), prof)
 
+    def test_explicit_n_max_ceiling(self):
+        source = PhotonSource.poissonian(1.0)
+        with pytest.raises(DomainError, match="MAX_PHOTONS"):
+            source.pmf_array(MAX_PHOTONS + 1)
+        assert source.pmf_array(MAX_PHOTONS).size == MAX_PHOTONS + 1
+
     def test_poisson_mixture_matches_poisson_binomial(self, ref_params):
         # Poisson input thins into independent channels, so the Fock mixture
         # must equal the Poisson-binomial of 1 - exp(-mu h_k).
@@ -270,7 +275,8 @@ class TestMultiPhotonContent:
 
     def test_monotone_in_counted_channels(self, ref_params):
         prof = channel_transmissions(ref_params, 15)
-        values = [device_multi_photon_content(4.26, prof.truncated(m))
+        values = [multi_photon_content(
+                      poisson_click_distribution(4.26, prof.truncated(m)))
                   for m in range(2, 16)]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
@@ -281,7 +287,7 @@ class TestMultiPhotonContent:
         prof = channel_transmissions(ref_params, 60)
         H = normalized_channels(prof)
         T = total_transmission(ref_params)
-        ratio = (device_multi_photon_content(mu, prof)
+        ratio = (multi_photon_content(poisson_click_distribution(mu, prof))
                  / source_multi_photon_content(PhotonSource.poissonian(mu)))
         assert ratio == pytest.approx(T * (1 - (H ** 2).sum()), rel=0.01)
 

@@ -274,7 +274,8 @@ class TestChannelRatioStatistic:
         res = calibrate_from_channels([0.5, 0.0, 0.2, 0.1], T_over_eta=0.78,
                                       theta=1.0)
         assert res.used_k.tolist() == [3] and res.ratio_stat == pytest.approx(1.0)
-        assert res.warnings == ("channel pair (k=2, k+1=3) skipped: zero probability",)
+        assert res.warnings == (
+            "channel pair (k=2, k+1=3) skipped: nonpositive probability",)
         for H in ([0.0, 0.5, 0.2, 0.1], [0.5, 0.3]):
             with pytest.raises(InsufficientDataError):
                 calibrate_from_channels(H, T_over_eta=0.78, theta=1.0)

@@ -16,7 +16,6 @@ from loopdet import (
     PhotonSource,
     reference_device,
     run_simulation,
-    simulate_pulse,
 )
 from loopdet.cli import main
 from loopdet.montecarlo import BATCH_SIZE, empirical_click_distribution
@@ -98,23 +97,6 @@ AFTERPULSE_DIGESTS = {
         "26baf72f9b481e0e6e8e3f6c9ad49ed374d35a4f6cd46274da07d73231a59208"),
 }
 
-PULSE_SOURCES = {
-    "poissonian": PhotonSource.poissonian(4.26),
-    "fock": PhotonSource.fock(5),
-    "custom": PhotonSource.custom(np.array([0.2, 0.3, 0.1, 0.4])),
-}
-
-PULSE_DIGESTS = {
-    ("noiseless", "poissonian"):
-        "f953bad953d11c8fd4d72f2369e0b2efdecc36e805e4510464c5b0b0b3278c02",
-    ("noisy", "poissonian"):
-        "3ff0060c31e4090b158f01fe916adf067c5c098357ea4fc32153ead5058cec70",
-    ("noisy", "fock"):
-        "29b0427a485c5d2a333fddfc7889d0954b8c9bbfaed085731dd9bcd8c75a8285",
-    ("noisy", "custom"):
-        "f80e19dce9b57a7dace7c63ce6373c230171813453653a243c64771f42625d6b",
-}
-
 JSON_DIGESTS = {
     "ideal":
         "fdd3398894e22d64564e845566b4476a55dcf762f611db1195b5b3730a87e1a2",
@@ -143,16 +125,6 @@ def run_digest(device: str, seed: int, workers: int) -> str:
     return digest(res.pulse, res.time_ns, res.origin, res.n_photons)
 
 
-def pulse_digest(device: str, source: str, n_seeds: int = 200) -> str:
-    arrays = []
-    for seed in range(n_seeds):
-        out = simulate_pulse(PULSE_SOURCES[source], DEVICES[device],
-                             np.random.default_rng(seed))
-        arrays += [out.click_times_ns, out.click_channels, out.origins,
-                   np.array([out.n_photons_generated])]
-    return digest(*arrays)
-
-
 def json_digest(kind: str, tmp_path) -> str:
     ini = tmp_path / "device.ini"
     if kind == "ideal":
@@ -173,11 +145,6 @@ def test_run_simulation_bytes(device, seed):
     expected = RUN_DIGESTS[device, seed]
     assert run_digest(device, seed, workers=1) == expected
     assert run_digest(device, seed, workers=2) == expected
-
-
-@pytest.mark.parametrize("device,source", sorted(PULSE_DIGESTS))
-def test_simulate_pulse_bytes(device, source):
-    assert pulse_digest(device, source) == PULSE_DIGESTS[device, source]
 
 
 @pytest.mark.parametrize("kind", sorted(JSON_DIGESTS))

@@ -19,7 +19,6 @@ from loopdet import (
     poisson_click_distribution,
     reference_device,
     run_simulation,
-    simulate_pulse,
     total_transmission,
 )
 from loopdet.clickstats import MAX_PHOTONS
@@ -197,23 +196,28 @@ class TestReproducibility:
 
 
 class TestInterfaces:
-    def test_single_pulse(self, ref_params, rng):
-        out = simulate_pulse(PhotonSource.poissonian(4.26), ref_params, rng)
-        assert out.click_times_ns.shape == out.click_channels.shape
-        assert out.n_photons_generated >= 0
-        assert np.all(np.diff(out.click_times_ns) >= 0)
+    def test_single_pulse(self, ref_params):
+        result = run_simulation(PhotonSource.poissonian(4.26), ref_params, 1,
+                                seed=20240817)
+        assert result.pulse.shape == result.time_ns.shape == result.origin.shape
+        assert result.n_photons.shape == (1,) and result.n_photons[0] >= 0
+        assert np.all(result.pulse == 0)
+        assert np.all(np.diff(result.time_ns) >= 0)
 
-    def test_outcome_roundtrip(self, quiet_run):
-        _, result = quiet_run
-        out = result.outcome(0)
-        assert np.array_equal(out.click_channels, np.maximum(out.origins, 0))
+    def test_outcome_roundtrip(self, noisy_run):
+        # A click's origin is an afterpulse (-1), a dark count (0) or its
+        # channel k in 1..max_channels, so its channel is max(origin, 0).
+        _, result = noisy_run
+        origins = np.unique(result.origin)
+        assert origins[:3].tolist() == [ORIGIN_AFTERPULSE, ORIGIN_DARK, 1]
+        assert origins[-1] <= result.settings.max_channels
 
     def test_histogram_totals(self, noisy_run):
         _, result = noisy_run
         hist = accumulate_histogram(result)
         assert hist.counts.sum() + hist.overflow == result.time_ns.size
-        assert hist.probabilities.sum() * result.n_trials == pytest.approx(
-            hist.counts.sum())
+        bins = np.floor(result.time_ns / hist.bin_width_ns)
+        assert hist.counts.sum() == np.count_nonzero((bins >= 0) & (bins < hist.n_bins))
 
     def test_invalid_args(self, ref_params):
         with pytest.raises(ParameterError):

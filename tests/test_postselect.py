@@ -183,6 +183,14 @@ class TestPostselect:
             postselect(source, prof)
         assert postselect(PhotonSource.fock(MAX_PHOTONS), prof).herald_rate > 0
 
+    def test_explicit_n_max_ceiling(self, ref_params):
+        prof = channel_transmissions(ref_params, 15)
+        source = PhotonSource.poissonian(1.0)
+        with pytest.raises(DomainError, match="MAX_PHOTONS"):
+            postselect(source, prof, n_max=1500)
+        res = postselect(source, prof, n_max=MAX_PHOTONS)
+        assert res.conditioned_pmf.size == MAX_PHOTONS + 1
+
     def test_bad_signal_transmission(self, ref_params):
         prof = channel_transmissions(ref_params, 10)
         with pytest.raises(ParameterError):
