@@ -64,7 +64,8 @@ class PhotonSource:
 
     def pmf_array(self, n_max: int | None = None) -> np.ndarray:
         """Photon-number pmf truncated at ``n_max`` (inclusive), by default
-        at :attr:`n_max`; above MAX_PHOTONS is a DomainError.
+        at :attr:`n_max`; above MAX_PHOTONS is a DomainError, and a negative
+        or non-integer ``n_max`` a ParameterError.
 
         For a Poissonian source the default truncation mu + 10*sqrt(mu) + 20
         leaves tail mass far below 1e-9.
@@ -90,15 +91,18 @@ class PhotonSource:
 
 #: Largest photon number a source may reach: the Poisson cut-off, the Fock
 #: n or the last custom pmf entry.  The Monte Carlo holds about 30 bytes per
-#: photon of an 8,192-pulse batch, so 1,000 photons per pulse peak near
+#: photon of a block, which is one 8,192-pulse batch or at most 2**17
+#: expected pulses plus photons, so 1,000 photons per pulse peak near
 #: 270 MB; the click kernel's (n+1) x (n+1) binomial matrices take 8 MB.
 MAX_PHOTONS = 1000
 
 
 def _check_photons(n_max: int, what: str) -> int:
+    if not (n_max >= 0 and float(n_max).is_integer()):
+        raise ParameterError(f"n_max must be a nonnegative integer, got {n_max}")
     if n_max > MAX_PHOTONS:
         raise DomainError(f"{what} needs photon numbers above MAX_PHOTONS = {MAX_PHOTONS}")
-    return n_max
+    return int(n_max)
 
 
 def poisson_truncation(mu: float) -> int:
@@ -174,9 +178,7 @@ def fock_click_matrix(n_max: int, profile: ChannelProfile) -> np.ndarray:
     weight C(n, n-j) h_k^(n-j).  The loss bin is folded in last.  Every term
     is nonnegative, so nothing cancels.  Row n is zero beyond m = n.
     """
-    if n_max < 0 or int(n_max) != n_max:
-        raise ParameterError(f"n_max must be a nonnegative integer, got {n_max}")
-    size = _check_photons(int(n_max), f"n_max = {n_max}") + 1
+    size = _check_photons(n_max, f"n_max = {n_max}") + 1
     h = profile.h
     q = 1.0 - float(h.sum())
     if q < -1e-12:

@@ -16,7 +16,10 @@ they were created.
 
 Reproducibility contract: trials are processed in fixed-size batches and
 each batch owns a counter-based random substream keyed by (seed, batch
-index), so results are bit-identical for any worker count.
+index), so results are bit-identical for any worker count.  Batches are the
+unit of the random stream only: a block of consecutive batches is simulated
+in lock step, each batch filling its slice of every draw from its own
+stream, and how batches are grouped into blocks changes no output byte.
 """
 
 from __future__ import annotations
@@ -40,6 +43,11 @@ ORIGIN_AFTERPULSE = -1
 #: Fixed batch size; part of the reproducibility contract (results depend on
 #: it, so it is a constant rather than a tuning knob).
 BATCH_SIZE = 8192
+
+#: Expected rows (pulses plus photons) of a block of batches simulated in
+#: lock step: it amortises per-call cost, changes no draw, and keeps a block
+#: no larger than the largest single batch.
+_BLOCK_ROWS = 2 ** 17
 
 
 @dataclass(frozen=True)
@@ -116,16 +124,16 @@ def _draw_photon_numbers(source: PhotonSource, rng: np.random.Generator,
     return rng.choice(source.pmf.size, size=size, p=source.pmf)
 
 
-def _route_photons(params: DeviceParams, rng: np.random.Generator,
-                   pulse_of_photon: np.ndarray,
+def _route_photons(params: DeviceParams, uniform, pulse_of_photon: np.ndarray,
                    max_channels: int) -> tuple[np.ndarray, np.ndarray]:
     """Pass-by-pass routing of every photon; returns (pulse, channel) of
     each channel click, in channel order.  Photons of one pulse arriving in
     one channel merge into one click: the detector produces a single
-    avalanche regardless of multiplicity."""
+    avalanche regardless of multiplicity.  ``uniform(a)`` draws one variate
+    per row of the pulse-sorted ``a``."""
     c = params.coupler
-    # np.compress: several times faster than a boolean index on numpy 2.4.
-    pulse = np.compress(rng.random(pulse_of_photon.size) < params.t0, pulse_of_photon)
+    # np.compress beats a boolean index on numpy 2.4 unless the mask is nearly all true.
+    pulse = np.compress(uniform(pulse_of_photon) < params.t0, pulse_of_photon)
 
     det_pulse = []
     k = 1
@@ -135,29 +143,21 @@ def _route_photons(params: DeviceParams, rng: np.random.Generator,
         # port 1) and all later passes (loop port 2).
         p_det = params.theta * (c.t13 if k == 1 else c.t23)
         p_loop = params.theta * (c.t14 if k == 1 else c.t24)
-        u = rng.random(pulse.size)
+        u = uniform(pulse)
         to_det = u < p_det
         exiting = np.compress(to_det, pulse)
         looping = np.compress(~to_det & (u < p_det + p_loop), pulse)
-        # Detection and loop survival in one draw: a generator fills doubles
-        # one after another, so this equals two consecutive draws.
-        v = rng.random(exiting.size + looping.size)
-        hit = np.compress(v[:exiting.size] < params.eta, exiting)
+        hit = np.compress(uniform(exiting) < params.eta, exiting)
         # Each pass keeps the pulse order of pulse_of_photon, so photons of
         # one pulse in this channel are adjacent.
-        det_pulse.append(np.compress(np.diff(hit, prepend=-1) != 0, hit))
-        pulse = np.compress(v[exiting.size:] < params.tl, looping)
+        first = np.ones(hit.size, dtype=bool)
+        np.not_equal(hit[1:], hit[:-1], out=first[1:])
+        det_pulse.append(hit[first])
+        pulse = np.compress(uniform(looping) < params.tl, looping)
         k += 1
 
     return (np.concatenate(det_pulse or [pulse]),
             np.repeat(np.arange(1, k, dtype=np.int32), [a.size for a in det_pulse]))
-
-
-def _first_of_runs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Mask of the first row of each run of equal consecutive (a, b)."""
-    first = np.ones(a.size, dtype=bool)
-    first[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
-    return first
 
 
 def _resolve_flagged(pulse, time, origin, ap_flag, ap_delay, dead_time: float):
@@ -203,50 +203,64 @@ def _resolve_flagged(pulse, time, origin, ap_flag, ap_delay, dead_time: float):
     return tuple(np.concatenate(column) for column in zip(*out))
 
 
-def _simulate_batch(source: PhotonSource, params: DeviceParams,
-                    settings: SimSettings, rng: np.random.Generator,
-                    n_pulses: int):
-    window_ns = settings.n_bins * params.bin_width_ns
+def _simulate_block(source: PhotonSource, params: DeviceParams,
+                    settings: SimSettings, seed: int, first_batch: int,
+                    sizes: list[int]):
+    """Batches first_batch, first_batch + 1, ... of ``sizes`` pulses in lock
+    step: each makes its own stream's draws in order, all else runs once over
+    the block, whose pulse b * BATCH_SIZE + i is batch b's pulse i."""
+    rngs = [_batch_rng(seed, first_batch + b) for b in range(len(sizes))]
+    edges = BATCH_SIZE * np.arange(len(sizes) + 1, dtype=np.int32)
 
-    n_photons = _draw_photon_numbers(source, rng, n_pulses)
-    pulse_of_photon = np.repeat(np.arange(n_pulses, dtype=np.int32), n_photons)
-    ph_pulse, ph_channel = _route_photons(params, rng, pulse_of_photon,
+    def fill(pulse, method=np.random.Generator.random):
+        out = np.empty(pulse.size)  # each batch fills its slice of ``pulse``
+        cut = np.searchsorted(pulse, edges)
+        for rng, lo, hi in zip(rngs, cut[:-1], cut[1:]):
+            method(rng, out=out[lo:hi])
+        return out
+
+    n_photons = np.concatenate([_draw_photon_numbers(source, rng, n)
+                                for rng, n in zip(rngs, sizes)])
+    index = np.arange(n_photons.size, dtype=np.int32)
+    ph_pulse, ph_channel = _route_photons(params, fill, np.repeat(index, n_photons),
                                           settings.max_channels)
 
     # Passes come out in channel order, so this sorts by (pulse, channel).
     order = np.argsort(ph_pulse, kind="stable")
     ph_pulse, ph_channel = ph_pulse[order], ph_channel[order]
-    ph_time = (settings.time_offset_ns
-               + (ph_channel - 1) * params.loop_delay_ns)
+    ph_time = settings.time_offset_ns + (ph_channel - 1) * params.loop_delay_ns
 
-    # Dark counts: per-bin probability, uniform over the acquisition window.
-    dark_counts = rng.binomial(settings.n_bins, params.dark_prob_per_bin,
-                               n_pulses)
-    dk_pulse = np.repeat(np.arange(n_pulses, dtype=np.int32), dark_counts)
-    dk_time = rng.uniform(0.0, window_ns, dk_pulse.size)
+    # Dark counts: per-bin probability, uniform over the acquisition window
+    # (rng.uniform(0, w) draws w * rng.random(), bit for bit).
+    dark_counts = np.concatenate([rng.binomial(settings.n_bins, params.dark_prob_per_bin, n)
+                                  for rng, n in zip(rngs, sizes)])
+    dk_pulse = np.repeat(index, dark_counts)
+    dk_time = settings.n_bins * params.bin_width_ns * fill(dk_pulse)
 
     # Afterpulse pre-draws for every candidate click.  Flags only take
-    # effect if the candidate actually registers.
-    ph_ap_flag = rng.random(ph_pulse.size) < params.afterpulse_prob
-    ph_ap_delay = rng.exponential(params.afterpulse_decay_ns, ph_pulse.size)
-    dk_ap_flag = rng.random(dk_pulse.size) < params.afterpulse_prob
-    dk_ap_delay = rng.exponential(params.afterpulse_decay_ns, dk_pulse.size)
+    # effect if the candidate actually registers.  The exponential draw is
+    # scale * standard_exponential, bit for bit.
+    exponential = np.random.Generator.standard_exponential
+    ph_ap_flag = fill(ph_pulse) < params.afterpulse_prob
+    ph_ap_delay = params.afterpulse_decay_ns * fill(ph_pulse, exponential)
+    dk_ap_flag = fill(dk_pulse) < params.afterpulse_prob
+    dk_ap_delay = params.afterpulse_decay_ns * fill(dk_pulse, exponential)
 
     # Fast path: pulses with neither dark counts nor afterpulse candidates.
     # Same-pulse photon clicks sit one loop delay apart, and the loop delay
     # exceeds the dead time by construction, so they all register.
-    flagged = np.zeros(n_pulses, dtype=bool)
+    flagged = np.zeros(index.size, dtype=bool)
     flagged[dk_pulse] = True
-    flagged[ph_pulse[ph_ap_flag]] = True
+    flagged[np.compress(ph_ap_flag, ph_pulse)] = True
 
-    fast = ~flagged[ph_pulse]
+    slow = flagged[ph_pulse]
+    fast = ~slow
     pulse, time, origin = ph_pulse[fast], ph_time[fast], ph_channel[fast]
     if flagged.any():
-        slow = ~fast
-        cand = [np.concatenate(pair) for pair in (
-            (ph_pulse[slow], dk_pulse), (ph_time[slow], dk_time),
-            (ph_channel[slow], np.full(dk_pulse.size, ORIGIN_DARK, dtype=np.int32)),
-            (ph_ap_flag[slow], dk_ap_flag), (ph_ap_delay[slow], dk_ap_delay))]
+        dk_origin = np.full(dk_pulse.size, ORIGIN_DARK, dtype=np.int32)
+        cand = [np.concatenate((np.compress(slow, ph), dk)) for ph, dk in (
+            (ph_pulse, dk_pulse), (ph_time, dk_time), (ph_channel, dk_origin),
+            (ph_ap_flag, dk_ap_flag), (ph_ap_delay, dk_ap_delay))]
         order = np.lexsort((cand[1], cand[0]))
         resolved = _resolve_flagged(*(a[order] for a in cand), params.dead_time_ns)
         pulse, time, origin = (np.concatenate(pair) for pair in zip(
@@ -256,41 +270,44 @@ def _simulate_batch(source: PhotonSource, params: DeviceParams,
     # strictly increasing time, so a stable sort by pulse alone gives the
     # (pulse, time, origin) order.
     order = np.argsort(pulse, kind="stable")
-    return pulse[order].astype(np.int64), time[order], origin[order], n_photons
+    return (np.add(pulse[order], first_batch * BATCH_SIZE, dtype=np.int64),
+            time[order], origin[order], n_photons)
 
 
 def _batch_worker(args):
-    source, params, settings, seed, batch_index, n_pulses = args
-    pulse, *rest = _simulate_batch(source, params, settings,
-                                   _batch_rng(seed, batch_index), n_pulses)
-    return (pulse + batch_index * BATCH_SIZE, *rest)
+    return _simulate_block(*args)
 
 
 def _simulations(runs, params: DeviceParams, n_trials: int, workers: int = 1,
                  settings: SimSettings | None = None):
     """Yield the :class:`SimulationResult` of each (source, seed) in
-    ``runs`` in turn.  The batches of all runs form one job list, checked
+    ``runs`` in turn.  The blocks of all runs form one job list, checked
     before any runs, so ``workers`` > 1 starts a single process pool."""
     if n_trials < 1:
         raise ParameterError("n_trials must be >= 1")
     settings = settings or SimSettings()
     n_batches = (n_trials + BATCH_SIZE - 1) // BATCH_SIZE
-    for source, seed in runs:
-        if seed < 0:
-            raise ParameterError("seed must be a nonnegative integer")
-        source.n_max  # raises DomainError above MAX_PHOTONS
-    jobs = [(source, params, settings, seed, b,
-             min(BATCH_SIZE, n_trials - b * BATCH_SIZE))
-            for source, seed in runs for b in range(n_batches)]
+    sizes = [min(BATCH_SIZE, n_trials - b * BATCH_SIZE) for b in range(n_batches)]
+    if any(seed < 0 for _, seed in runs):
+        raise ParameterError("seed must be a nonnegative integer")
+    # Batches per block: about _BLOCK_ROWS expected pulses plus photons, or
+    # one batch.  Raises DomainError above MAX_PHOTONS, before any run.
+    means = [s.pmf_array() @ np.arange(s.n_max + 1) for s, _ in runs]
+    per_block = [max(1, int(_BLOCK_ROWS // (BATCH_SIZE * (1 + m)))) for m in means]
+    jobs = [(source, params, settings, seed, b, sizes[b:b + per])
+            for (source, seed), per in zip(runs, per_block)
+            for b in range(0, n_batches, per)]
     with ExitStack() as stack:
-        batches = map(_batch_worker, jobs)  # lazy: one batch at a time
+        blocks = map(_batch_worker, jobs)  # lazy: one block at a time
         if workers > 1 and len(jobs) > 1:
             from concurrent.futures import ProcessPoolExecutor
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
-            batches = pool.map(_batch_worker, jobs, chunksize=4)
-        for _, seed in runs:
-            pulse, time, origin, n_photons = (
-                np.concatenate(a) for a in zip(*islice(batches, n_batches)))
+            blocks = pool.map(_batch_worker, jobs, chunksize=1)
+        for (_, seed), per in zip(runs, per_block):
+            parts = list(zip(*islice(blocks, -(-n_batches // per))))
+            # One column at a time, freeing its parts before the next.
+            pulse, time, origin, n_photons = (np.concatenate(parts.pop(0))
+                                              for _ in range(4))
             yield SimulationResult(params=params, settings=settings, seed=seed,
                                    n_trials=n_trials, pulse=pulse, time_ns=time,
                                    origin=origin, n_photons=n_photons)
@@ -355,13 +372,14 @@ def window_clicks(result: SimulationResult,
     p = result.params
     s = result.settings
     half_width = 0.5 * p.duty_factor_q * p.loop_delay_ns
-    rel = (result.time_ns - s.time_offset_ns) / p.loop_delay_ns
-    k_near = np.rint(rel).astype(np.int64) + 1
-    center = s.time_offset_ns + (k_near - 1) * p.loop_delay_ns
-    in_window = ((np.abs(result.time_ns - center) <= half_width)
-                 & (k_near >= 1) & (k_near <= n_channels))
-    pulse, channel = result.pulse[in_window], k_near[in_window]
-    first = _first_of_runs(pulse, channel)
+    k = (result.time_ns - s.time_offset_ns) / p.loop_delay_ns
+    np.rint(k, out=k)  # nearest channel - 1; float until the rows are kept
+    dist = k * p.loop_delay_ns + s.time_offset_ns - result.time_ns
+    in_window = (np.abs(dist, out=dist) <= half_width) & (k >= 0) & (k < n_channels)
+    del dist
+    pulse, channel = result.pulse[in_window], k[in_window].astype(np.int64) + 1
+    first = np.ones(pulse.size, dtype=bool)
+    first[1:] = (pulse[1:] != pulse[:-1]) | (channel[1:] != channel[:-1])
     return pulse[first], channel[first]
 
 

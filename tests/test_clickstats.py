@@ -149,6 +149,14 @@ class TestFockClickDistribution:
             source.pmf_array(MAX_PHOTONS + 1)
         assert source.pmf_array(MAX_PHOTONS).size == MAX_PHOTONS + 1
 
+    @pytest.mark.parametrize("n_max", [-1, 2.5, -0.5, math.nan, math.inf])
+    def test_explicit_n_max_not_a_photon_number(self, n_max):
+        for source in (PhotonSource.poissonian(1.0), PhotonSource.fock(2),
+                       PhotonSource.custom([0.5, 0.5])):
+            with pytest.raises(ParameterError, match="nonnegative integer"):
+                source.pmf_array(n_max)
+        assert PhotonSource.poissonian(1.0).pmf_array(2.0).size == 3
+
     def test_poisson_mixture_matches_poisson_binomial(self, ref_params):
         # Poisson input thins into independent channels, so the Fock mixture
         # must equal the Poisson-binomial of 1 - exp(-mu h_k).

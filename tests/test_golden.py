@@ -18,10 +18,12 @@ from loopdet import (
     run_simulation,
 )
 from loopdet.cli import main
+import loopdet.montecarlo as mc
 from loopdet.montecarlo import BATCH_SIZE, empirical_click_distribution
 from loopdet.postselect import herald_acceptance_from_mc
 
-#: Three batches, so that workers=2 runs through the process pool.
+#: Three batches: one block by default, so test_block_grouping_bytes runs
+#: them one batch per block to send workers=2 through the process pool.
 TRIALS = 2 * BATCH_SIZE + 1000
 
 DEVICES = {
@@ -194,3 +196,47 @@ def test_afterpulse_device_bytes(device, workers):
     emp = empirical_click_distribution(res)
     assert (digest(res.pulse, res.time_ns, res.origin, res.n_photons),
             digest(emp.distribution.p_click)) == AFTERPULSE_DIGESTS[device]
+
+
+@pytest.mark.parametrize("block_rows", [0, 2 ** 40],
+                         ids=["one-batch-per-block", "one-block"])
+def test_block_grouping_bytes(block_rows, monkeypatch):
+    # Blocks only group batches for compute; every batch keeps its stream.
+    monkeypatch.setattr(mc, "_BLOCK_ROWS", block_rows)
+    for workers in (1, 2):
+        for device, seed in sorted(RUN_DIGESTS):
+            res = golden_run(device, seed, workers)
+            assert (digest(res.pulse, res.time_ns, res.origin, res.n_photons)
+                    == RUN_DIGESTS[device, seed])
+            emp = empirical_click_distribution(res)
+            assert digest(emp.distribution.p_click) == PMF_DIGESTS[device, seed]
+        for rule, expected in HERALD_DIGESTS.items():
+            table = herald_acceptance_from_mc(DEVICES["noisy"], 6, rule, 2000,
+                                              29, workers=workers)
+            assert digest(table) == expected
+
+
+@pytest.mark.parametrize("source,per_block", [
+    (PhotonSource.poissonian(2.13), 5), (PhotonSource.poissonian(0.0), 16),
+    (PhotonSource.fock(7), 2), (PhotonSource.fock(8), 1),
+    (PhotonSource.fock(20), 1), (PhotonSource.custom([0.5, 0.0, 0.5]), 8)],
+    ids=["poisson-2.13", "poisson-0", "fock-7", "fock-8", "fock-20", "custom"])
+def test_block_size(source, per_block, monkeypatch):
+    blocks = []
+
+    def record(args):
+        *_, first_batch, sizes = args
+        blocks.append((first_batch, sizes))
+        return (np.zeros(0, np.int64), np.zeros(0), np.zeros(0, np.int32),
+                np.zeros(sum(sizes), np.int64))
+
+    monkeypatch.setattr(mc, "_batch_worker", record)
+    n_trials = 40 * BATCH_SIZE + 5
+    run_simulation(source, DEVICES["noiseless"], n_trials, 1)
+    assert [b for b, _ in blocks] == list(range(0, 41, per_block))
+    assert [list(sizes) for _, sizes in blocks] == [
+        [BATCH_SIZE] * per_block] * (len(blocks) - 1) + [
+        [BATCH_SIZE] * (40 - blocks[-1][0]) + [5]]
+    # At most 2**17 expected rows (pulses plus photons), or one batch.
+    mean = source.pmf_array() @ np.arange(source.n_max + 1)
+    assert per_block == 1 or per_block * BATCH_SIZE * (1 + mean) <= 2 ** 17

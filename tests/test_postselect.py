@@ -191,6 +191,14 @@ class TestPostselect:
         res = postselect(source, prof, n_max=MAX_PHOTONS)
         assert res.conditioned_pmf.size == MAX_PHOTONS + 1
 
+    @pytest.mark.parametrize("n_max", [-1, 2.5])
+    def test_explicit_n_max_not_a_photon_number(self, ref_params, n_max):
+        prof = channel_transmissions(ref_params, 15)
+        with pytest.raises(ParameterError, match="nonnegative integer"):
+            postselect(PhotonSource.poissonian(1.0), prof, n_max=n_max)
+        with pytest.raises(ParameterError, match="nonnegative integer"):
+            herald_acceptance_from_mc(ref_params, n_max, "exactly-one", 2, 1)
+
     def test_bad_signal_transmission(self, ref_params):
         prof = channel_transmissions(ref_params, 10)
         with pytest.raises(ParameterError):
