@@ -38,9 +38,7 @@ class PhotonSource:
 
     @classmethod
     def fock(cls, n: int) -> "PhotonSource":
-        if n < 0 or int(n) != n:
-            raise ParameterError(f"n must be a nonnegative integer, got {n}")
-        return cls(kind="fock", n=int(n))
+        return cls(kind="fock", n=_check_count(n, "n"))
 
     @classmethod
     def custom(cls, pmf) -> "PhotonSource":
@@ -97,12 +95,17 @@ class PhotonSource:
 MAX_PHOTONS = 1000
 
 
+def _check_count(n, name: str) -> int:
+    if not (0 <= n < math.inf and int(n) == n):  # NaN and inf fail too
+        raise ParameterError(f"{name} must be a nonnegative integer, got {n}")
+    return int(n)
+
+
 def _check_photons(n_max: int, what: str) -> int:
-    if not (n_max >= 0 and float(n_max).is_integer()):
-        raise ParameterError(f"n_max must be a nonnegative integer, got {n_max}")
+    n_max = _check_count(n_max, "n_max")
     if n_max > MAX_PHOTONS:
         raise DomainError(f"{what} needs photon numbers above MAX_PHOTONS = {MAX_PHOTONS}")
-    return int(n_max)
+    return n_max
 
 
 def poisson_truncation(mu: float) -> int:
@@ -118,9 +121,9 @@ class ClickDistribution:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "p_click", np.asarray(self.p_click, dtype=float))
-        if np.any(self.p_click < -1e-12):
-            raise DomainError("negative click probability")
-        if abs(self.p_click.sum() - 1.0) > 1e-9:
+        if not np.all(self.p_click >= -1e-12):  # NaN fails too
+            raise DomainError("negative or NaN click probability")
+        if not abs(self.p_click.sum() - 1.0) <= 1e-9:
             raise DomainError(f"click pmf sums to {self.p_click.sum()!r}")
 
     @property
@@ -144,8 +147,7 @@ def poisson_click_distribution(mu: float, profile: ChannelProfile) -> ClickDistr
     channels follows the Poisson-binomial distribution of those N
     independent events.
     """
-    if mu < 0:
-        raise ParameterError(f"mu must be >= 0, got {mu}")
+    mu = PhotonSource.poissonian(mu).mu
     c = -np.expm1(-mu * profile.h)
     p = np.array([1.0])
     for ck in c:
@@ -194,9 +196,7 @@ def fock_click_distribution(n: int, profile: ChannelProfile) -> ClickDistributio
     """Exact distinct-channel click pmf for an n-photon Fock input: row n of
     ``fock_click_matrix``.  p_click[m] = 0 for m > n.
     """
-    if n < 0 or int(n) != n:
-        raise ParameterError(f"n must be a nonnegative integer, got {n}")
-    return ClickDistribution(fock_click_matrix(int(n), profile)[-1])
+    return ClickDistribution(fock_click_matrix(n, profile)[-1])
 
 
 def custom_click_distribution(source: PhotonSource,

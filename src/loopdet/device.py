@@ -42,9 +42,9 @@ def _check_unit_interval(name: str, value: float) -> None:
 class CouplerSetting:
     """Intensity transmissions t_ij from port i to port j of the coupler.
 
-    The four coefficients are accepted without enforcing unitarity
-    (t13 + t14 may differ from 1): the physical coupler is lossy and its
-    excess loss is factored into the separate ``theta`` coefficient.
+    A lossy coupler may pass less than all light (t13 + t14 < 1; its excess
+    loss is also factored into the separate ``theta`` coefficient), but it
+    never creates light: t13 + t14 > 1 or t23 + t24 > 1 is a ParameterError.
 
     An idealized coupler is described by the single division ratio r via
     t13 = t24 = r and t14 = t23 = 1 - r; use :meth:`ideal`.
@@ -59,6 +59,10 @@ class CouplerSetting:
     def __post_init__(self) -> None:
         for name in ("t13", "t14", "t23", "t24"):
             _check_unit_interval(name, getattr(self, name))
+        if self.t13 + self.t14 > 1.0 or self.t23 + self.t24 > 1.0:
+            raise ParameterError(
+                f"coupler creates light: t13 + t14 = {self.t13 + self.t14!r} and "
+                f"t23 + t24 = {self.t23 + self.t24!r} must not exceed 1")
         if self.r is not None:
             _check_unit_interval("r", self.r)
 

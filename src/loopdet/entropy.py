@@ -18,6 +18,10 @@ from .errors import DegenerateDeviceError, NoMaximumError
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
+#: Coarse grid step of the ratio scan, and the golden-section tolerance on r.
+_GRID_STEP = 1e-3
+_REFINE_TOL = 1e-5
+
 
 def _plogp(x: np.ndarray) -> np.ndarray:
     out = np.zeros_like(x)
@@ -64,16 +68,13 @@ def _golden_section_max(f, lo: float, hi: float, tol: float) -> tuple[float, flo
     return x, f(x)
 
 
-def optimize_ratio(params: DeviceParams,
-                   grid_step: float = 1e-3,
-                   refine_tol: float = 1e-5,
-                   normalized: bool = False) -> EntropyScan:
+def optimize_ratio(params: DeviceParams, *, normalized: bool = False) -> EntropyScan:
     """Find the ideal-coupler division ratio maximizing the entropy.
 
-    A coarse grid scan at ``grid_step`` brackets the maximum, then
-    golden-section search refines it to |dr| < ``refine_tol``.  The fixed
-    losses (t0, theta, tl, eta) are taken from ``params``; its coupler
-    setting is ignored.  The entropy sums every channel in closed form.
+    A grid scan at steps of 1e-3 brackets the maximum, then golden-section
+    search refines it to |dr| < 1e-5.  The fixed losses (t0, theta, tl,
+    eta) are taken from ``params``; its coupler setting is ignored.  The
+    entropy sums every channel in closed form.
     """
 
     def entropy_at(r):
@@ -89,7 +90,7 @@ def optimize_ratio(params: DeviceParams,
             e = e / total + np.log(total)
         return e
 
-    n_grid = int(round(1.0 / grid_step)) + 1
+    n_grid = int(round(1.0 / _GRID_STEP)) + 1
     r_grid = np.linspace(0.0, 1.0, n_grid)
     e_grid = entropy_at(r_grid)
     if np.ptp(e_grid) < 1e-12:
@@ -97,7 +98,7 @@ def optimize_ratio(params: DeviceParams,
     i = int(np.argmax(e_grid))
     lo = r_grid[max(i - 1, 0)]
     hi = r_grid[min(i + 1, n_grid - 1)]
-    r_star, e_star = _golden_section_max(entropy_at, lo, hi, refine_tol)
+    r_star, e_star = _golden_section_max(entropy_at, lo, hi, _REFINE_TOL)
     # Refinement must never lose to the coarse grid.
     if e_grid[i] > e_star:
         r_star, e_star = float(r_grid[i]), float(e_grid[i])

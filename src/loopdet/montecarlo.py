@@ -8,11 +8,12 @@ paralyzes the detector, dark counts appear uniformly over the acquisition
 window, and every registered click may trigger at most one afterpulse at an
 exponentially distributed delay (suppressed while the detector is dead).
 
-Pulses without noise candidates register every channel click.  The others
-are resolved together in array passes, one event per pulse per pass: the
-earlier of the pulse's next time-sorted candidate and its earliest pending
-afterpulse, a candidate winning a tie and afterpulses going in the order
-they were created.
+Pulses without noise candidates register every channel click.  For the
+others, each flagged candidate's afterpulse time is known before any click
+registers, so candidates and afterpulses are sorted once by (pulse, time),
+a candidate before an afterpulse at the same time, and swept in array
+passes, one event per pulse per pass.  An afterpulse needs its candidate to
+have registered.
 
 Reproducibility contract: trials are processed in fixed-size batches and
 each batch owns a counter-based random substream keyed by (seed, batch
@@ -161,46 +162,41 @@ def _route_photons(params: DeviceParams, uniform, pulse_of_photon: np.ndarray,
 
 
 def _resolve_flagged(pulse, time, origin, ap_flag, ap_delay, dead_time: float):
-    """Dead time and afterpulses for candidate clicks sorted by (pulse,
-    time), one event per pulse per pass (see the module docstring).  An
-    event registers unless it falls within the dead time of the pulse's
-    last registered click; a registered candidate with its flag set adds a
-    pending afterpulse, which never chains.  Returns the registered (pulse,
-    time, origin), time-ordered within each pulse."""
-    # One slot per candidate, and an inf sentinel after each pulse's last.
-    head = np.r_[True, pulse[1:] != pulse[:-1]]
-    rank = np.cumsum(head) - 1
-    slot = np.arange(pulse.size) + rank
-    t_c = np.full(pulse.size + rank[-1] + 1, np.inf)
-    o_c, f_c, d_c = (np.zeros(t_c.size, a.dtype) for a in (origin, ap_flag, ap_delay))
-    t_c[slot], o_c[slot], f_c[slot], d_c[slot] = time, origin, ap_flag, ap_delay
+    """Dead time and afterpulses for candidate clicks in any order, tied
+    candidates going in their given order (see the module docstring).  An
+    event registers if the event it depends on did and it does not fall
+    within the dead time of the pulse's last registered click; afterpulses
+    never chain.  Returns the registered (pulse, time, origin), sorted by
+    (pulse, time)."""
+    src = np.flatnonzero(ap_flag)  # the candidate each afterpulse needs
+    n, size = pulse.size, pulse.size + src.size
+    pulse = np.concatenate((pulse, pulse[src]))
+    time = np.concatenate((time, time[src] + ap_delay[src]))
+    # Stable, so tied candidates keep their given order; a candidate goes
+    # before an afterpulse at the same time.
+    order = np.lexsort((np.arange(size) >= n, time, pulse))
+    pulse, time = pulse[order], time[order]
+    origin = np.r_[origin, np.full(src.size, ORIGIN_AFTERPULSE, origin.dtype)][order]
+    # Sorted position of the event each event needs: a candidate needs the
+    # always-registered sentinel at position ``size``.
+    at = np.empty(size + 1, np.intp)
+    at[order], at[size] = np.arange(size), size
+    needs = at[np.r_[np.full(n, size), src][order]]
+    registered = np.arange(size + 1) == size
 
-    pid = pulse[head]
-    ptr = slot[head]  # slot of each pulse's next candidate
-    last = np.full(pid.size, -np.inf)
-    made = np.zeros(pid.size, np.intp)  # afterpulses created so far
-    # Pending afterpulse times, one column per creation, inf when empty.
-    pend = np.full((pid.size, max(1, np.bincount(rank[ap_flag]).max(initial=0))),
-                   np.inf)
-    out = []
-    while pid.size:
-        rows = np.arange(pid.size)
-        col = pend.argmin(axis=1)  # first of equal times: created first
-        t_cand, t_ap = t_c[ptr], pend[rows, col]
-        is_cand = t_cand <= t_ap
-        t = np.where(is_cand, t_cand, t_ap)
-        ok = ~(t - last < dead_time)
-        out.append((pid[ok], t[ok], np.where(is_cand, o_c[ptr], ORIGIN_AFTERPULSE)[ok]))
-        last[ok] = t[ok]
-        pend[rows[~is_cand], col[~is_cand]] = np.inf
-        spawn = is_cand & ok & f_c[ptr]
-        pend[rows[spawn], made[spawn]] = t[spawn] + d_c[ptr[spawn]]
-        made += spawn
-        ptr += is_cand
-        busy = (t_c[ptr] < np.inf) | (pend.min(axis=1) < np.inf)
-        if not busy.all():
-            pid, ptr, last, made, pend = (a[busy] for a in (pid, ptr, last, made, pend))
-    return tuple(np.concatenate(column) for column in zip(*out))
+    ptr = np.flatnonzero(np.diff(pulse, prepend=-1))  # each pulse's next event
+    end = np.r_[ptr[1:], size]
+    last = np.full(ptr.size, -np.inf)  # each pulse's last registered click
+    while ptr.size:
+        t = time[ptr]
+        ok = registered[needs[ptr]] & ~(t - last < dead_time)
+        registered[ptr] = ok
+        np.copyto(last, t, where=ok)
+        ptr += 1
+        live = ptr < end
+        if not live.all():
+            ptr, end, last = ptr[live], end[live], last[live]
+    return tuple(a[registered[:size]] for a in (pulse, time, origin))
 
 
 def _simulate_block(source: PhotonSource, params: DeviceParams,
@@ -261,8 +257,7 @@ def _simulate_block(source: PhotonSource, params: DeviceParams,
         cand = [np.concatenate((np.compress(slow, ph), dk)) for ph, dk in (
             (ph_pulse, dk_pulse), (ph_time, dk_time), (ph_channel, dk_origin),
             (ph_ap_flag, dk_ap_flag), (ph_ap_delay, dk_ap_delay))]
-        order = np.lexsort((cand[1], cand[0]))
-        resolved = _resolve_flagged(*(a[order] for a in cand), params.dead_time_ns)
+        resolved = _resolve_flagged(*cand, params.dead_time_ns)
         pulse, time, origin = (np.concatenate(pair) for pair in zip(
             (pulse, time, origin), resolved))
 

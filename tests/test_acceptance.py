@@ -94,7 +94,7 @@ def test_criterion_02_lossy_optimum(report):
     for t0, tl, eta in itertools.product((0.85, 0.95), (0.90, 0.97), (0.4, 0.8)):
         lossy = DeviceParams(t0=t0, theta=0.955, tl=tl, eta=eta,
                              coupler=CouplerSetting.ideal(0.5))
-        below_half.append(optimize_ratio(lossy, grid_step=5e-3).r_star < 0.5)
+        below_half.append(optimize_ratio(lossy).r_star < 0.5)
     elapsed = time.perf_counter() - start
     ok = abs(scan.r_star - 0.446) <= 0.010 and all(below_half) and elapsed < 5.0
     assert report(2, "lossy optimum at r = 0.446, always below 1/2", ok)

@@ -560,10 +560,17 @@ class TestDivergentDeviceExitCode:
     def test_domain_error_exit(self, capsys, tmp_path):
         ini = tmp_path / "bad.ini"
         ini.write_text("[device]\ntheta = 1.0\ntl = 1.0\n"
-                       "t13 = 0.5\nt14 = 0.5\nt23 = 1.0\nt24 = 1.0\n")
+                       "t13 = 0.5\nt14 = 0.5\nt23 = 1e-12\nt24 = 0.999999999999\n")
         code, _, err = run(capsys, "channels", "--config", str(ini))
         assert code == EXIT_DOMAIN
         assert "domain error" in err
+
+    def test_coupler_creating_light_exit(self, capsys, tmp_path):
+        ini = tmp_path / "bad.ini"
+        ini.write_text("[device]\nt13 = 0.9\nt14 = 0.3\nt23 = 0.8\nt24 = 0.97\n")
+        code, _, err = run(capsys, "channels", "--config", str(ini))
+        assert code == EXIT_DOMAIN
+        assert "domain error: coupler creates light" in err
 
     @pytest.mark.parametrize("line", ["dead_time_ns = nan", "bin_width_ns = nan",
                                       "bin_width_ns = inf"])

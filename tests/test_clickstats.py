@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from loopdet import (
     ChannelProfile,
+    ClickDistribution,
     PhotonSource,
     custom_click_distribution,
     fock_click_distribution,
@@ -140,8 +141,9 @@ class TestFockClickDistribution:
         prof = channel_transmissions(ref_params, 15)
         with pytest.raises(DomainError, match="MAX_PHOTONS"):
             fock_click_distribution(MAX_PHOTONS + 1, prof)
-        with pytest.raises(DomainError, match="MAX_PHOTONS"):
-            custom_click_distribution(PhotonSource.fock(MAX_PHOTONS + 1), prof)
+        for n in (MAX_PHOTONS + 1, 10 ** 400):  # too large for a float
+            with pytest.raises(DomainError, match="MAX_PHOTONS"):
+                custom_click_distribution(PhotonSource.fock(n), prof)
 
     def test_explicit_n_max_ceiling(self):
         source = PhotonSource.poissonian(1.0)
@@ -185,6 +187,13 @@ class TestFockClickDistribution:
         for n in range(6):
             assert P[n] == pytest.approx(brute_force_fock(n, h), abs=1e-12)
 
+    @pytest.mark.parametrize("n", [-1, 2.5, math.nan, math.inf])
+    def test_fock_n_not_a_photon_number(self, n):
+        with pytest.raises(ParameterError, match="nonnegative integer"):
+            PhotonSource.fock(n)
+        with pytest.raises(ParameterError, match="nonnegative integer"):
+            fock_click_distribution(n, profile(0.5))
+
     def test_bad_inputs(self):
         with pytest.raises(ParameterError):
             fock_click_matrix(-1, profile(0.5))
@@ -197,10 +206,18 @@ class TestPoissonClickDistribution:
         d = poisson_click_distribution(0.0, channel_transmissions(ref_params))
         assert d.p0 == 1.0
 
-    @pytest.mark.parametrize("mu", [-0.5, math.nan])
+    @pytest.mark.parametrize("mu", [-0.5, math.nan, math.inf])
     def test_bad_mu_rejected(self, mu):
         with pytest.raises(ParameterError):
             PhotonSource.poissonian(mu)
+        with pytest.raises(ParameterError):
+            poisson_click_distribution(mu, profile(0.3, 0.3))
+
+    @pytest.mark.parametrize("pmf", [[math.nan, 0.5], [math.nan, 1.0],
+                                     [0.5, 0.6], [1.5, -0.5]])
+    def test_bad_click_pmf_rejected(self, pmf):
+        with pytest.raises(DomainError):
+            ClickDistribution(pmf)
 
     def test_saturation(self):
         d = poisson_click_distribution(200.0, profile(0.3, 0.3, 0.3))

@@ -14,8 +14,10 @@ U64 = 2 ** 64 - 1
 
 unit = st.floats(0.0, 1.0)
 positive = st.floats(1e-6, 1e6)
+# t14 <= 1 - t13 and t24 <= 1 - t23 keep each sum at or below 1 in floats.
 couplers = st.one_of(st.builds(CouplerSetting.ideal, unit),
-                     st.builds(CouplerSetting, unit, unit, unit, unit))
+                     st.builds(lambda a, b, c, d: CouplerSetting(
+                         a, (1.0 - a) * b, c, (1.0 - c) * d), unit, unit, unit, unit))
 
 
 @st.composite

@@ -108,9 +108,9 @@ class TestTotalTransmission:
 
     @pytest.mark.parametrize("coupler", [
         CouplerSetting(t13=0.45, t14=0.5, t23=0.52, t24=0.44),
-        CouplerSetting(t13=0.9, t14=0.3, t23=0.8, t24=0.97),
+        CouplerSetting(t13=0.65, t14=0.3, t23=0.03, t24=0.97),
         CouplerSetting(t13=0.2, t14=0.7, t23=0.6, t24=0.0),
-        CouplerSetting(t13=0.6, t14=0.0, t23=0.6, t24=0.5),
+        CouplerSetting(t13=0.6, t14=0.0, t23=0.5, t24=0.5),
         CouplerSetting(t13=0.6, t14=0.4, t23=0.0, t24=0.5),
     ])
     @pytest.mark.parametrize("n", [1, 2, 7, 200])
@@ -133,7 +133,7 @@ class TestTotalTransmission:
         # The convergence guard looks at whether light enters the loop
         # (t14 * t23 > 0), not at the input losses: a closed lossless loop
         # is rejected even when t0 = 0 makes every channel dark.
-        edge = CouplerSetting(t13=0.5, t14=0.5, t23=0.5, t24=1.0)
+        edge = CouplerSetting(t13=0.5, t14=0.5, t23=1e-12, t24=1 - 1e-12)
         for t0 in (0.0, 1.0):
             p = DeviceParams(t0=t0, theta=1, tl=1, eta=1, coupler=edge)
             with pytest.raises(DomainError):
@@ -141,14 +141,15 @@ class TestTotalTransmission:
         # No light in the loop: the first channel carries everything.
         shut = DeviceParams(t0=1, theta=1, tl=1, eta=1,
                             coupler=CouplerSetting(t13=0.8, t14=0.0,
-                                                   t23=0.5, t24=1.0))
+                                                   t23=1e-12, t24=1 - 1e-12))
         profile = channel_transmissions(shut, 3)
         assert (profile.h.tolist(), profile.remainder) == ([0.8, 0.0, 0.0], 0.0)
         assert total_transmission(shut) == 0.8
 
     def test_divergent_series_rejected(self):
         p = DeviceParams(t0=1, theta=1, tl=1, eta=1,
-                         coupler=CouplerSetting(t13=0.5, t14=0.5, t23=1.0, t24=1.0))
+                         coupler=CouplerSetting(t13=0.5, t14=0.5, t23=1e-12,
+                                                t24=1 - 1e-12))
         with pytest.raises(DomainError):
             total_transmission(p)
         with pytest.raises(DomainError):
@@ -301,5 +302,17 @@ class TestCouplerSetting:
         assert profile.h == pytest.approx(expected, rel=1e-12)
 
     def test_lossy_full_coupler_accepted(self):
-        # Unitarity is deliberately not enforced.
+        # A coupler may lose light.
         CouplerSetting(t13=0.4, t14=0.4, t23=0.5, t24=0.3)
+
+    @pytest.mark.parametrize("t", [(0.9, 0.3, 0.8, 0.97), (0.6, 0.41, 0.2, 0.3),
+                                   (0.2, 0.3, 0.6, 0.5), (1.0, 1e-12, 0.0, 0.0)])
+    def test_coupler_creating_light_rejected(self, t):
+        with pytest.raises(ParameterError, match="creates light"):
+            CouplerSetting(*t)
+
+    def test_ideal_coupler_in_domain(self):
+        # r + (1 - r) never rounds above 1, so every ideal coupler passes.
+        for r in np.r_[np.linspace(0.0, 1.0, 10_001),
+                       np.random.default_rng(0).random(10_000)]:
+            CouplerSetting.ideal(float(r))

@@ -116,7 +116,7 @@ class TestOptimizeRatio:
         assert scan.e_star >= scan.entropy.max()
 
     def test_scan_arrays_consistent(self, ref_params):
-        scan = optimize_ratio(ref_params, grid_step=5e-3)
+        scan = optimize_ratio(ref_params)
         assert scan.r_grid.shape == scan.entropy.shape
         i = int(np.argmax(scan.entropy))
         assert abs(scan.r_star - scan.r_grid[i]) <= 5e-3

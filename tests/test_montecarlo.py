@@ -60,6 +60,23 @@ class TestAgainstAnalytics:
             sigma = np.sqrt(expected[k - 1] * (1 - expected[k - 1]) / n)
             assert abs(rate - expected[k - 1]) < 4 * sigma + 1e-9
 
+    @pytest.mark.parametrize("coupler", [
+        (0.3, 0.6, 0.35, 0.6),  # a t14 <-> t23 swap makes t14 + t24 > 1
+        (0.5, 0.45, 0.2, 0.75),
+        (0.2, 0.7, 0.6, 0.0),   # t24 = 0: nothing beyond channel 2
+        (0.05, 0.95, 0.1, 0.9),
+    ])
+    def test_general_coupler_occupation(self, coupler):
+        # Off the ideal coupler the exit and stay ports differ between the
+        # first pass and the later ones.  Each channel's noise-free Fock-1
+        # click count must match n * h_k within 5 sigma.
+        params = noiseless(DeviceParams(t0=0.95, theta=0.97, tl=0.93, eta=0.8,
+                                        coupler=CouplerSetting(*coupler)))
+        n, h = 100_000, channel_transmissions(params, 8).h
+        origin = run_simulation(PhotonSource.fock(1), params, n, seed=31).origin
+        counts = np.bincount(origin, minlength=9)[1:9]
+        assert np.all(np.abs(counts - n * h) <= 5 * np.sqrt(n * h * (1 - h)))
+
     def test_click_distribution(self, quiet_run):
         params, result = quiet_run
         emp = empirical_click_distribution(result, n_channels=15)
@@ -265,28 +282,27 @@ def heap_resolve(pulse, time, origin, ap_flag, ap_delay, dead_time):
             np.array([r[2] for r in rows], dtype=np.int32))
 
 
-def array_resolve(pulse, time, origin, ap_flag, ap_delay, dead_time):
-    """The engine's resolver, its rows ordered by pulse as the engine does."""
-    out = _resolve_flagged(pulse, time, origin, ap_flag, ap_delay, dead_time)
-    order = np.argsort(out[0], kind="stable")
-    return tuple(a[order] for a in out)
-
-
-def candidates(rows):
+def columns(rows):
     """Candidate arrays from (pulse, time, origin, ap_flag, ap_delay) rows,
-    sorted by (pulse, time) as the engine sorts them (stable, so rows at
-    equal times keep their given order)."""
+    in the given row order, with the engine's dtypes."""
     pulse, time, origin, flag, delay = (np.array(c) for c in zip(*rows))
-    order = np.lexsort((time, pulse))
-    return (pulse.astype(np.int32)[order], time.astype(float)[order],
-            origin.astype(np.int32)[order], flag.astype(bool)[order],
-            delay.astype(float)[order])
+    return (pulse.astype(np.int32), time.astype(float), origin.astype(np.int32),
+            flag.astype(bool), delay.astype(float))
+
+
+def sorted_columns(rows):
+    """:func:`columns` sorted by (pulse, time), stable, so that rows at
+    equal times keep their given order."""
+    cols = columns(rows)
+    order = np.lexsort((cols[1], cols[0]))
+    return tuple(c[order] for c in cols)
 
 
 @st.composite
 def candidate_sets(draw):
-    """Candidates on a coarse time grid, so that candidates tie with each
-    other and with afterpulses, and afterpulses tie with each other."""
+    """Candidate rows in a random order, on a coarse time grid, so that
+    candidates tie with each other and with afterpulses, and afterpulses
+    tie with each other."""
     dead_time = draw(st.sampled_from([0.5, 1.0, 2.5, 7.0, 20.0, 59.0, 60.0]))
     ap = draw(st.sampled_from(["never", "always", "sometimes"]))
     rows = []
@@ -298,23 +314,26 @@ def candidate_sets(draw):
                          draw(st.integers(ORIGIN_DARK, 4)), flag,
                          draw(st.sampled_from([0.0, 0.5, 1.0, 2.5, 5.0,
                                                20.0, 61.0]))))
-    return candidates(rows), dead_time
+    return draw(st.permutations(rows)), dead_time
 
 
 class TestFlaggedResolver:
+    """The engine's resolver gets the rows unsorted, the event-queue oracle
+    gets them sorted by (pulse, time)."""
+
     @settings(max_examples=200, deadline=None)
     @given(candidate_sets())
     def test_matches_event_queue(self, case):
-        cand, dead_time = case
-        got = array_resolve(*cand, dead_time)
-        want = heap_resolve(*cand, dead_time)
+        rows, dead_time = case
+        got = _resolve_flagged(*columns(rows), dead_time)
+        want = heap_resolve(*sorted_columns(rows), dead_time)
         for g, w in zip(got, want):
             assert g.dtype == w.dtype
             np.testing.assert_array_equal(g, w)
 
     # (rows, dead time, expected (time, origin) of pulse 0)
     TIES = {
-        # A photon and a dark count at one time: the first in sorted order
+        # A photon and a dark count at one time: the first in given order
         # registers, the other falls in its dead time.
         "photon-then-dark": ([(0, 10.0, 1, False, 0.0),
                               (0, 10.0, ORIGIN_DARK, False, 0.0)], 5.0,
@@ -324,8 +343,8 @@ class TestFlaggedResolver:
                              [(10.0, ORIGIN_DARK)]),
         # An afterpulse due at 10 ns meets a candidate at 10 ns: the
         # candidate goes first.
-        "afterpulse-on-candidate": ([(0, 0.0, 1, True, 10.0),
-                                     (0, 10.0, 2, False, 0.0)], 5.0,
+        "afterpulse-on-candidate": ([(0, 10.0, 2, False, 0.0),
+                                     (0, 0.0, 1, True, 10.0)], 5.0,
                                     [(0.0, 1), (10.0, 2)]),
         # Two afterpulses both due at 10 ns: one registers.
         "two-afterpulses": ([(0, 0.0, 1, True, 10.0),
@@ -335,13 +354,17 @@ class TestFlaggedResolver:
         # An afterpulse never chains, and one in the dead time vanishes.
         "no-chain": ([(0, 0.0, 1, True, 3.0), (0, 60.0, 2, True, 70.0)], 5.0,
                      [(0.0, 1), (60.0, 2), (130.0, ORIGIN_AFTERPULSE)]),
+        # A flagged candidate that the dead time suppresses never gets its
+        # afterpulse, though that would fall outside every dead time.
+        "suppressed-flag": ([(0, 2.0, ORIGIN_DARK, True, 10.0),
+                             (0, 0.0, 1, False, 0.0)], 5.0, [(0.0, 1)]),
     }
 
     @pytest.mark.parametrize("case", sorted(TIES))
     def test_tie_breaks(self, case):
         rows, dead_time, expected = self.TIES[case]
-        cand = candidates(rows)
-        for resolve in (array_resolve, heap_resolve):
+        for resolve, cand in ((_resolve_flagged, columns(rows)),
+                              (heap_resolve, sorted_columns(rows))):
             _, t, o = resolve(*cand, dead_time)
             assert list(zip(t.tolist(), o.tolist())) == expected
 
