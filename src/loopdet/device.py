@@ -47,14 +47,15 @@ class CouplerSetting:
     never creates light: t13 + t14 > 1 or t23 + t24 > 1 is a ParameterError.
 
     An idealized coupler is described by the single division ratio r via
-    t13 = t24 = r and t14 = t23 = 1 - r; use :meth:`ideal`.
+    t13 = t24 = r and t14 = t23 = 1 - r; use :meth:`ideal`.  An ``r`` that
+    disagrees with the four t_ij is a ParameterError.
     """
 
     t13: float
     t14: float
     t23: float
     t24: float
-    r: float | None = None  # division ratio when built via ideal()
+    r: float | None = None  # division ratio of an ideal() coupler
 
     def __post_init__(self) -> None:
         for name in ("t13", "t14", "t23", "t24"):
@@ -63,8 +64,9 @@ class CouplerSetting:
             raise ParameterError(
                 f"coupler creates light: t13 + t14 = {self.t13 + self.t14!r} and "
                 f"t23 + t24 = {self.t23 + self.t24!r} must not exceed 1")
-        if self.r is not None:
-            _check_unit_interval("r", self.r)
+        if self.r is not None and (self.t13, self.t14, self.t23, self.t24) != (
+                self.r, 1.0 - self.r, 1.0 - self.r, self.r):
+            raise ParameterError(f"r = {self.r!r} disagrees with the four t_ij of ideal(r)")
 
     @classmethod
     def ideal(cls, r: float) -> "CouplerSetting":

@@ -1,12 +1,14 @@
 """Stochastic pulse-by-pulse simulation of the physical loop detector.
 
-Photons are routed pass-by-pass through the coupler and delay loop (rather
-than sampled from the analytic channel profile, so the analytic model is
-validated independently).  Detector imperfections are applied on top:
-photons arriving in the same channel merge into one click, the dead time
-paralyzes the detector, dark counts appear uniformly over the acquisition
-window, and every registered click may trigger at most one afterpulse at an
-exponentially distributed delay (suppressed while the detector is dead).
+Photons are routed pass-by-pass through the coupler and delay loop on the
+physical coefficients, one uniform variate per photon per pass picking a
+click, another pass or loss (never sampled from the analytic channel
+profile, so the analytic model is validated independently).  Detector
+imperfections are applied on top: photons arriving in the same channel
+merge into one click, the dead time paralyzes the detector, dark counts
+appear uniformly over the acquisition window, and every registered click
+may trigger at most one afterpulse at an exponentially distributed delay
+(suppressed while the detector is dead), its flag and delay from one variate.
 
 Pulses without noise candidates register every channel click.  For the
 others, each flagged candidate's afterpulse time is known before any click
@@ -128,33 +130,30 @@ def _draw_photon_numbers(source: PhotonSource, rng: np.random.Generator,
 def _route_photons(params: DeviceParams, uniform, pulse_of_photon: np.ndarray,
                    max_channels: int) -> tuple[np.ndarray, np.ndarray]:
     """Pass-by-pass routing of every photon; returns (pulse, channel) of
-    each channel click, in channel order.  Photons of one pulse arriving in
-    one channel merge into one click: the detector produces a single
-    avalanche regardless of multiplicity.  ``uniform(a)`` draws one variate
-    per row of the pulse-sorted ``a``."""
-    c = params.coupler
-    # np.compress beats a boolean index on numpy 2.4 unless the mask is nearly all true.
-    pulse = np.compress(uniform(pulse_of_photon) < params.t0, pulse_of_photon)
-
+    each channel click, in channel order, photons of one pulse in one
+    channel merged into one avalanche.  Each pass draws one variate u per
+    live photon: u < p_det is a click in channel k, the next p_loop reaches
+    pass k + 1, the rest is lost.  Pass 1 enters port 1 through t0, later
+    passes port 2.  ``uniform(a)`` draws one variate per row of the
+    pulse-sorted ``a``."""
+    c, pulse, reach = params.coupler, pulse_of_photon, params.t0
     det_pulse = []
     k = 1
     while pulse.size and k <= max_channels:
-        # Coupler pass: exit toward the detector, stay in the loop, or be
-        # lost to excess loss.  Ports differ between the first pass (input
-        # port 1) and all later passes (loop port 2).
-        p_det = params.theta * (c.t13 if k == 1 else c.t23)
-        p_loop = params.theta * (c.t14 if k == 1 else c.t24)
+        t_exit, t_stay = (c.t13, c.t14) if k == 1 else (c.t23, c.t24)
+        p_det = reach * params.theta * t_exit * params.eta
+        p_loop = reach * params.theta * t_stay * params.tl
         u = uniform(pulse)
         to_det = u < p_det
-        exiting = np.compress(to_det, pulse)
-        looping = np.compress(~to_det & (u < p_det + p_loop), pulse)
-        hit = np.compress(uniform(exiting) < params.eta, exiting)
+        # np.compress beats a boolean index on numpy 2.4 unless the mask is nearly all true.
+        hit = np.compress(to_det, pulse)
         # Each pass keeps the pulse order of pulse_of_photon, so photons of
         # one pulse in this channel are adjacent.
         first = np.ones(hit.size, dtype=bool)
         np.not_equal(hit[1:], hit[:-1], out=first[1:])
         det_pulse.append(hit[first])
-        pulse = np.compress(uniform(looping) < params.tl, looping)
+        pulse = np.compress(~to_det & (u < p_det + p_loop), pulse)
+        reach = 1.0
         k += 1
 
     return (np.concatenate(det_pulse or [pulse]),
@@ -208,11 +207,11 @@ def _simulate_block(source: PhotonSource, params: DeviceParams,
     rngs = [_batch_rng(seed, first_batch + b) for b in range(len(sizes))]
     edges = BATCH_SIZE * np.arange(len(sizes) + 1, dtype=np.int32)
 
-    def fill(pulse, method=np.random.Generator.random):
+    def fill(pulse):
         out = np.empty(pulse.size)  # each batch fills its slice of ``pulse``
         cut = np.searchsorted(pulse, edges)
         for rng, lo, hi in zip(rngs, cut[:-1], cut[1:]):
-            method(rng, out=out[lo:hi])
+            rng.random(out=out[lo:hi])
         return out
 
     n_photons = np.concatenate([_draw_photon_numbers(source, rng, n)
@@ -233,14 +232,13 @@ def _simulate_block(source: PhotonSource, params: DeviceParams,
     dk_pulse = np.repeat(index, dark_counts)
     dk_time = settings.n_bins * params.bin_width_ns * fill(dk_pulse)
 
-    # Afterpulse pre-draws for every candidate click.  Flags only take
-    # effect if the candidate actually registers.  The exponential draw is
-    # scale * standard_exponential, bit for bit.
-    exponential = np.random.Generator.standard_exponential
-    ph_ap_flag = fill(ph_pulse) < params.afterpulse_prob
-    ph_ap_delay = params.afterpulse_decay_ns * fill(ph_pulse, exponential)
-    dk_ap_flag = fill(dk_pulse) < params.afterpulse_prob
-    dk_ap_delay = params.afterpulse_decay_ns * fill(dk_pulse, exponential)
+    # Afterpulse flag u < p_ap per candidate click; given the flag u / p_ap
+    # is uniform and inverts to the delay.  Unflagged rows keep u, unread.
+    p_ap, tau = params.afterpulse_prob, params.afterpulse_decay_ns
+    ph_ap_delay, dk_ap_delay = fill(ph_pulse), fill(dk_pulse)
+    ph_ap_flag, dk_ap_flag = ph_ap_delay < p_ap, dk_ap_delay < p_ap
+    for u, flag in ((ph_ap_delay, ph_ap_flag), (dk_ap_delay, dk_ap_flag)):
+        u[flag] = -tau * np.log1p(-u[flag] / p_ap)
 
     # Fast path: pulses with neither dark counts nor afterpulse candidates.
     # Same-pulse photon clicks sit one loop delay apart, and the loop delay

@@ -311,6 +311,17 @@ class TestCouplerSetting:
         with pytest.raises(ParameterError, match="creates light"):
             CouplerSetting(*t)
 
+    @pytest.mark.parametrize("t", [(0.3, 0.7, 0.7, 0.3, 0.9),
+                                   (0.3, 0.7, 0.7, 0.3, math.nan),
+                                   (0.3, 0.6, 0.7, 0.3, 0.3),
+                                   (0.3, 0.7, 0.6, 0.3, 0.3),
+                                   (0.3, 0.7, 0.7, 0.2, 0.3)])
+    def test_ratio_disagreeing_with_couplings_rejected(self, t):
+        # Nothing simulates r itself, so a run would record an r that its
+        # four t_ij do not have.
+        with pytest.raises(ParameterError, match="disagrees"):
+            CouplerSetting(*t)
+
     def test_ideal_coupler_in_domain(self):
         # r + (1 - r) never rounds above 1, so every ideal coupler passes.
         for r in np.r_[np.linspace(0.0, 1.0, 10_001),

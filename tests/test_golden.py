@@ -4,10 +4,18 @@ The reproducibility contract promises byte-identical output for a fixed
 seed at any worker count.  Reruns within one version of the code cannot
 show that a refactor changed the random stream; these SHA-256 digests,
 recorded from the engine as released, can.  A change that must alter the
-stream says so and updates the digests in the same change.
+stream says so and updates the digests in the same change:
+
+    PYTHONPATH=src python tests/test_golden.py          # print old -> new
+    PYTHONPATH=src python tests/test_golden.py --write  # and re-record
+
+recomputes every pin of this file, and the diff of the file is the record.
 """
 
 import hashlib
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,33 +44,33 @@ DEVICES = {
 
 RUN_DIGESTS = {
     ("noiseless", 3):
-        "ebf71c5d716d705751b22e5195395b3c551edb141ad874f723e92d6867485436",
+        "7f905456c8900967107be29be84c0cd8fab550733b1cab35db77be4729becaf7",
     ("noiseless", 2 ** 63 + 11):
-        "be272aa271141e67fd39951ff3b77bfd2b9e407a4c18e6a79961694a62154a49",
+        "725f19edd700c44df54226d476a8037f935dfebbc977fe86652a8a1615b51b4c",
     ("noisy", 3):
-        "d94e06a3b29a4587eb7eb12b72adc2d77e51d000b539f4e7a63e36205fff1d91",
+        "77cc5e04cca178212f3292d9bc8c97a4e09f19b57a4e4fabb4e97a6da907500d",
     ("noisy", 2 ** 63 + 11):
-        "2b828bc2b821fc58beda1ecf58c2cc8795dabc2575efdab65973c5c3d6d3905d",
+        "49b4deaa61bc4b711f4c2c3ef45ae21f556a52ef1ebe713e90888241968da0e0",
 }
 
 #: Empirical click pmf (15 channels) of each run in RUN_DIGESTS.
 PMF_DIGESTS = {
     ("noiseless", 3):
-        "70181a9e54c4ef0cc91e6672560a92c32ca713e58aea1cd24a1ef5827a0a9a4c",
+        "4cba8f76e12c337a6f4a35f2c08100f611929943ca9c8c78e455b64048b78a8f",
     ("noiseless", 2 ** 63 + 11):
-        "5322ab7ba16fca5eafb5b8d5f6baad7b73ed0bbe70a6453abd0467a9c3de4e94",
+        "34d054137038c14c60a40f5908227a7b118e8825e559ce69158945b271a0cb8a",
     ("noisy", 3):
-        "10675ac503ad5970a7c4a164ba7d1a338fc7e71874ee6d94d2f4f6caa3efdad7",
+        "c7a72027203ec1efaa2721c5bdc445f51071ac9fe991232556ac57bbc02ccceb",
     ("noisy", 2 ** 63 + 11):
-        "11b19c65ee7ae1c8039d9e7a3110da1bf69c418288b3fbe168d8652c0b27ac0f",
+        "6a9da3a84ac6d13d3943a78b93ee5f372065224cbc10b92014591b82ab518721",
 }
 
 #: Monte Carlo herald tables on the noisy device, n = 0..6, 2,000 trials.
 HERALD_DIGESTS = {
     "exactly-one":
-        "3a5499c8d1a80b1e201dba71c6e5373163064dee38ba0f4869a30ee93027c7dd",
+        "170eeb3e619aefb54db00dc57b5ffed967b739493af4187d6a17a2f321eee74c",
     "one-or-more":
-        "119c1f95d199e662cb6c37988af6f76aa38995e2b880750be2899321d91a94c0",
+        "6cb873827e3a79ac2ef2787a65e54632db0178bce87f0118d3082214c50f9e07",
 }
 
 #: A dead time shorter than the accepted window (5 ns < q * 60 = 10.2 ns),
@@ -71,17 +79,19 @@ HERALD_DIGESTS = {
 DUPLICATE_WINDOW_DEVICE = reference_device(
     dead_time_ns=5.0, dark_prob_per_bin=2e-3, afterpulse_prob=0.3,
     afterpulse_decay_ns=8.0)
+#: Window clicks on channels 1..15, and how many of them share a window.
+DUPLICATE_WINDOW_HITS = (59541, 184)
 DUPLICATE_WINDOW_DIGESTS = {
-    "run": "7b6441b059f05a97d56b69228e9562e393a687bb8ed620f94c29525eb6a32626",
-    "pmf": "511ec9f3d5827dde92350d7f8c8ed2b7782a2a63fe3c26557504a8f4df39842e",
+    "run": "c4522bab90b41461783a59aea1a40f66b2c2c6581d0a1d594b9a21aecf431742",
+    "pmf": "ca9b5b92f02611ea42fa5e6d01d1ea1e0720bf935659d88abe6998fe2bceb13f",
 }
 
 #: Afterpulse probability 1: every registered click leaves a pending
 #: afterpulse.  "pending" has about five dark counts per pulse and a 1 ns
 #: decay inside a 59 ns dead time, so every afterpulse is suppressed;
 #: "registering" has a 30 ns decay past a 20 ns dead time, so a third of
-#: its clicks are afterpulses.  Recorded before the dead-time loop became
-#: array passes.
+#: its clicks are afterpulses.  First recorded before the dead-time loop
+#: became array passes.
 AFTERPULSE_DEVICES = {
     "pending": reference_device(dark_prob_per_bin=5e-3, afterpulse_prob=1.0,
                                 afterpulse_decay_ns=1.0, dead_time_ns=59.0),
@@ -92,18 +102,18 @@ AFTERPULSE_DEVICES = {
 }
 AFTERPULSE_DIGESTS = {
     "pending": (
-        "e9da16d8f40f615aadf0a90559d31995789126166024771c9088bfc047ddeee6",
-        "7517cc79ca504de6fc0fca0e5ae0c4ac2e9503aaf47cb5e0726c45962322ce5a"),
+        "8a21f0eb231aceb2dd8a4f3be73b84520b5e718a39547731d872511072b2dedd",
+        "4028e28a31572dec6dc8e257bbbdc82ff490d076a22eea4fc11f6c8770ab9bac"),
     "registering": (
-        "1ab1ad6c627ac288e4d8dd0fc0d46eec8fc740f59b85535a450b581ebd9fdc8d",
-        "26baf72f9b481e0e6e8e3f6c9ad49ed374d35a4f6cd46274da07d73231a59208"),
+        "9bbf1d8029b2631b086cd71fbf74a2133a56e0ef57c810638ec4c2348dc1c8fa",
+        "ba7d18f3b15a99a884fb4fd43c04161dc757ba6a234c6ca6c20d7753a853591a"),
 }
 
 JSON_DIGESTS = {
     "ideal":
-        "fdd3398894e22d64564e845566b4476a55dcf762f611db1195b5b3730a87e1a2",
+        "49c911d5bc0cdb49dc76ffa0baca28111cbb1a202ee2e64dc501549a35f7bdcb",
     "four-tij":
-        "8b6e132731d1d5b3f7614e4eda5c4141aeb0ef17d319f9e0639861b0e9aec8fe",
+        "c06f5c4981f79d97c67b0cbba5fd63767edfbb97f91251171c6727771d24c97c",
 }
 
 
@@ -125,6 +135,25 @@ def golden_run(device: str, seed: int, workers: int = 1):
 def run_digest(device: str, seed: int, workers: int) -> str:
     res = golden_run(device, seed, workers)
     return digest(res.pulse, res.time_ns, res.origin, res.n_photons)
+
+
+def pmf_digest(device: str, seed: int) -> str:
+    return digest(empirical_click_distribution(golden_run(device, seed))
+                  .distribution.p_click)
+
+
+def herald_digest(rule: str, workers: int) -> str:
+    return digest(herald_acceptance_from_mc(DEVICES["noisy"], 6, rule, 2000, 29,
+                                            workers=workers))
+
+
+def afterpulse_digests(device: str, workers: int) -> tuple[str, str]:
+    res = run_simulation(PhotonSource.poissonian(2.13),
+                         AFTERPULSE_DEVICES[device], TRIALS, 7,
+                         workers=workers)
+    emp = empirical_click_distribution(res)
+    return (digest(res.pulse, res.time_ns, res.origin, res.n_photons),
+            digest(emp.distribution.p_click))
 
 
 def json_digest(kind: str, tmp_path) -> str:
@@ -156,46 +185,43 @@ def test_simulate_tof_json_bytes(kind, tmp_path):
 
 @pytest.mark.parametrize("device,seed", sorted(PMF_DIGESTS))
 def test_empirical_pmf_bytes(device, seed):
-    emp = empirical_click_distribution(golden_run(device, seed))
-    assert digest(emp.distribution.p_click) == PMF_DIGESTS[device, seed]
+    assert pmf_digest(device, seed) == PMF_DIGESTS[device, seed]
 
 
 @pytest.mark.parametrize("rule", sorted(HERALD_DIGESTS))
 def test_herald_table_bytes(rule):
     # workers=2 sends the seven one-batch runs through one process pool.
     for workers in (1, 2):
-        table = herald_acceptance_from_mc(DEVICES["noisy"], 6, rule, 2000, 29,
-                                          workers=workers)
-        assert digest(table) == HERALD_DIGESTS[rule]
+        assert herald_digest(rule, workers) == HERALD_DIGESTS[rule]
 
 
-def test_duplicate_window_bytes():
+def duplicate_window_pins():
+    """(window hits, hits sharing a window) and the run and pmf digests."""
     res = run_simulation(PhotonSource.poissonian(3.0),
                          DUPLICATE_WINDOW_DEVICE, 50_000, 5)
-    # The run really puts two clicks of one pulse into one channel window.
     p, s = res.params, res.settings
     k = np.rint((res.time_ns - s.time_offset_ns) / p.loop_delay_ns) + 1
     centre = s.time_offset_ns + (k - 1) * p.loop_delay_ns
     hit = ((np.abs(res.time_ns - centre) <= 0.5 * p.duty_factor_q
             * p.loop_delay_ns) & (k >= 1) & (k <= 15))
     pairs = set(zip(res.pulse[hit].tolist(), k[hit].tolist()))
-    assert (int(hit.sum()), int(hit.sum()) - len(pairs)) == (59_754, 192)
-
-    assert (digest(res.pulse, res.time_ns, res.origin, res.n_photons)
-            == DUPLICATE_WINDOW_DIGESTS["run"])
     emp = empirical_click_distribution(res)
-    assert digest(emp.distribution.p_click) == DUPLICATE_WINDOW_DIGESTS["pmf"]
+    return ((int(hit.sum()), int(hit.sum()) - len(pairs)),
+            {"run": digest(res.pulse, res.time_ns, res.origin, res.n_photons),
+             "pmf": digest(emp.distribution.p_click)})
+
+
+def test_duplicate_window_bytes():
+    hits, digests = duplicate_window_pins()
+    # The run really puts two clicks of one pulse into one channel window.
+    assert hits == DUPLICATE_WINDOW_HITS and hits[1] > 0
+    assert digests == DUPLICATE_WINDOW_DIGESTS
 
 
 @pytest.mark.parametrize("device", sorted(AFTERPULSE_DIGESTS))
 @pytest.mark.parametrize("workers", [1, 2])
 def test_afterpulse_device_bytes(device, workers):
-    res = run_simulation(PhotonSource.poissonian(2.13),
-                         AFTERPULSE_DEVICES[device], TRIALS, 7,
-                         workers=workers)
-    emp = empirical_click_distribution(res)
-    assert (digest(res.pulse, res.time_ns, res.origin, res.n_photons),
-            digest(emp.distribution.p_click)) == AFTERPULSE_DIGESTS[device]
+    assert afterpulse_digests(device, workers) == AFTERPULSE_DIGESTS[device]
 
 
 @pytest.mark.parametrize("block_rows", [0, 2 ** 40],
@@ -211,9 +237,7 @@ def test_block_grouping_bytes(block_rows, monkeypatch):
             emp = empirical_click_distribution(res)
             assert digest(emp.distribution.p_click) == PMF_DIGESTS[device, seed]
         for rule, expected in HERALD_DIGESTS.items():
-            table = herald_acceptance_from_mc(DEVICES["noisy"], 6, rule, 2000,
-                                              29, workers=workers)
-            assert digest(table) == expected
+            assert herald_digest(rule, workers) == expected
 
 
 @pytest.mark.parametrize("source,per_block", [
@@ -240,3 +264,44 @@ def test_block_size(source, per_block, monkeypatch):
     # At most 2**17 expected rows (pulses plus photons), or one batch.
     mean = source.pmf_array() @ np.arange(source.n_max + 1)
     assert per_block == 1 or per_block * BATCH_SIZE * (1 + mean) <= 2 ** 17
+
+
+def recorded() -> dict:
+    """Every pin of this file recomputed from the engine, by table name."""
+    with tempfile.TemporaryDirectory() as tmp:
+        json_digests = {kind: json_digest(kind, Path(tmp)) for kind in JSON_DIGESTS}
+    hits, duplicate = duplicate_window_pins()
+    return {
+        "RUN_DIGESTS": {key: run_digest(*key, workers=1) for key in RUN_DIGESTS},
+        "PMF_DIGESTS": {key: pmf_digest(*key) for key in PMF_DIGESTS},
+        "HERALD_DIGESTS": {rule: herald_digest(rule, 1) for rule in HERALD_DIGESTS},
+        "DUPLICATE_WINDOW_HITS": hits,
+        "DUPLICATE_WINDOW_DIGESTS": duplicate,
+        "AFTERPULSE_DIGESTS": {device: afterpulse_digests(device, 1)
+                               for device in AFTERPULSE_DIGESTS},
+        "JSON_DIGESTS": json_digests,
+    }
+
+
+def pins(table) -> list:
+    """(key, text) of each pin of a table as this file spells it: a digest
+    as its bare hex string, the duplicate-window hits as their repr."""
+    if not isinstance(table, dict):
+        return [(None, repr(table))]
+    return [(key, pin) for key, value in table.items()
+            for pin in (value if isinstance(value, tuple) else (value,))]
+
+
+if __name__ == "__main__":
+    path = Path(__file__)
+    text = path.read_text()
+    for name, table in recorded().items():
+        for (key, old), (_, new) in zip(pins(globals()[name]), pins(table)):
+            if new == old:
+                print(f"{name}[{key}]: {old} unchanged")
+                continue
+            print(f"{name}[{key}]: {old} -> {new}")
+            assert text.count(old) == 1, f"{name}[{key}] is not unique"
+            text = text.replace(old, new)
+    if "--write" in sys.argv[1:]:
+        path.write_text(text)

@@ -77,6 +77,23 @@ class TestAgainstAnalytics:
         counts = np.bincount(origin, minlength=9)[1:9]
         assert np.all(np.abs(counts - n * h) <= 5 * np.sqrt(n * h * (1 - h)))
 
+    def test_max_channels_truncation(self):
+        # Photons still looping after the last simulated channel are
+        # dropped: channels 1..4 keep n * h_k, and the click fraction of
+        # Fock-1 light falls short of T by the remainder beyond channel 4.
+        params = noiseless(DeviceParams(t0=0.95, theta=0.97, tl=0.93, eta=0.8,
+                                        coupler=CouplerSetting(0.05, 0.95, 0.1, 0.9)))
+        n, profile = 100_000, channel_transmissions(params, 4)
+        assert profile.remainder > 0.1
+        res = run_simulation(PhotonSource.fock(1), params, n, seed=37,
+                             settings=SimSettings(max_channels=4))
+        assert res.origin.min() >= 1 and res.origin.max() <= 4
+        h = profile.h
+        counts = np.bincount(res.origin, minlength=5)[1:5]
+        assert np.all(np.abs(counts - n * h) <= 5 * np.sqrt(n * h * (1 - h)))
+        p = total_transmission(params) - profile.remainder
+        assert abs(res.pulse.size / n - p) <= 5 * np.sqrt(p * (1 - p) / n)
+
     def test_click_distribution(self, quiet_run):
         params, result = quiet_run
         emp = empirical_click_distribution(result, n_channels=15)
@@ -143,6 +160,29 @@ class TestTimingModel:
             mask = (result.pulse == result.pulse[i]) & \
                 (result.time_ns < result.time_ns[i])
             assert mask.any()  # some earlier click triggered it
+
+    def test_afterpulse_delay_law(self):
+        # Noise-free Fock-1 light gives each pulse at most one channel
+        # click, its afterpulse the next row.  An afterpulse registers only
+        # past the dead time, so by memorylessness its delay beyond the dead
+        # time is Exp(tau).  With p_ap < 1 a delay drawn from the flag's
+        # variate without conditioning on the flag comes out too short.
+        p_ap, tau, dead = 0.3, 200.0, 1.0
+        params = DeviceParams(dark_prob_per_bin=0.0, afterpulse_prob=p_ap,
+                              afterpulse_decay_ns=tau, dead_time_ns=dead)
+        res = run_simulation(PhotonSource.fock(1), params, 100_000, seed=41)
+        ap = np.flatnonzero(res.origin == ORIGIN_AFTERPULSE)
+        clicks = np.count_nonzero(res.origin >= 1)
+        assert np.all(res.pulse[ap - 1] == res.pulse[ap])
+        assert np.all(res.origin[ap - 1] >= 1)
+        # Flagged, and not lost in the dead time.
+        f = p_ap * np.exp(-dead / tau)
+        assert abs(ap.size - clicks * f) <= 5 * np.sqrt(clicks * f * (1 - f))
+        x, m = res.time_ns[ap] - res.time_ns[ap - 1] - dead, ap.size
+        assert abs(x.mean() - tau) <= 5 * tau / np.sqrt(m)
+        for s in (0.8, 0.5, 0.2, 0.05, 0.01):  # survival at quantile 1 - s
+            above = np.count_nonzero(x > -tau * np.log(s)) / m
+            assert abs(above - s) <= 5 * np.sqrt(s * (1 - s) / m)
 
     def test_dark_counts_present_and_uniform(self):
         params = DeviceParams(dark_prob_per_bin=1e-3, afterpulse_prob=0.0)
