@@ -71,8 +71,8 @@ class RunConfig:
     reference_plane: str = "input"
 
     def check(self, where) -> None:
-        """Reject a seed outside the uint64 key of the Monte Carlo generator
-        and a worker count below 1."""
+        """Reject a seed outside [0, 2**64), the range a run file or the
+        CLI may give, and a worker count below 1."""
         if self.seed is not None and not 0 <= self.seed < 2 ** 64:
             raise ConfigError(f"{where}: seed must lie in [0, 2**64), got {self.seed}")
         if self.workers < 1:

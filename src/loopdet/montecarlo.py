@@ -18,11 +18,13 @@ passes, one event per pulse per pass.  An afterpulse needs its candidate to
 have registered.
 
 Reproducibility contract: trials are processed in fixed-size batches and
-each batch owns a counter-based random substream keyed by (seed, batch
-index), so results are bit-identical for any worker count.  Batches are the
-unit of the random stream only: a block of consecutive batches is simulated
-in lock step, each batch filling its slice of every draw from its own
-stream, and how batches are grouped into blocks changes no output byte.
+batch b draws from PCG64 child b of the seed's SeedSequence, so results are
+bit-identical for any worker count.  A batch's Poisson photon numbers are
+one Poisson(mu * size) total spread uniformly over its pulses (exactly size
+independent Poisson(mu) counts).  Batches are the unit of the random stream
+only: a block of consecutive batches is simulated in lock step, each batch
+filling its slice of every draw from its own stream, and how batches are
+grouped into blocks changes no output byte.
 """
 
 from __future__ import annotations
@@ -114,14 +116,16 @@ def false_cm_bound(params: DeviceParams, p1: float) -> FalseClickBounds:
 
 
 def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
-    key = np.array([seed, batch_index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    """Spawn-key child, not list entropy: that zero-pads, so (3, 5) == (3 + 5 * 2**32, 0)."""
+    return np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(seed, spawn_key=(batch_index,))))
 
 
 def _draw_photon_numbers(source: PhotonSource, rng: np.random.Generator,
                          size: int) -> np.ndarray:
     if source.kind == "poissonian":
-        return rng.poisson(source.mu, size)
+        total = rng.poisson(source.mu * size)
+        return np.bincount(rng.integers(size, size=total), minlength=size)
     if source.kind == "fock":
         return np.full(size, source.n, dtype=np.int64)
     return rng.choice(source.pmf.size, size=size, p=source.pmf)
@@ -281,7 +285,7 @@ def _simulations(runs, params: DeviceParams, n_trials: int, workers: int = 1,
     settings = settings or SimSettings()
     n_batches = (n_trials + BATCH_SIZE - 1) // BATCH_SIZE
     sizes = [min(BATCH_SIZE, n_trials - b * BATCH_SIZE) for b in range(n_batches)]
-    if any(seed < 0 for _, seed in runs):
+    if not all(isinstance(seed, (int, np.integer)) and seed >= 0 for _, seed in runs):
         raise ParameterError("seed must be a nonnegative integer")
     # Batches per block: about _BLOCK_ROWS expected pulses plus photons, or
     # one batch.  Raises DomainError above MAX_PHOTONS, before any run.

@@ -44,33 +44,33 @@ DEVICES = {
 
 RUN_DIGESTS = {
     ("noiseless", 3):
-        "7f905456c8900967107be29be84c0cd8fab550733b1cab35db77be4729becaf7",
+        "35c920f8da84c6ecda72ef6cd3b1e9de294c084677b2cc1ae1ac9ea1a177f624",
     ("noiseless", 2 ** 63 + 11):
-        "725f19edd700c44df54226d476a8037f935dfebbc977fe86652a8a1615b51b4c",
+        "0cda5c473f9c5cb90d0c4b83e9b631ef2ebff612ddf5fb025e7c83c3705eaf1c",
     ("noisy", 3):
-        "77cc5e04cca178212f3292d9bc8c97a4e09f19b57a4e4fabb4e97a6da907500d",
+        "51c7b72842e171a3b59d3e81b775a8a500e53abd244b52dafd1c1c6f9ca79ce3",
     ("noisy", 2 ** 63 + 11):
-        "49b4deaa61bc4b711f4c2c3ef45ae21f556a52ef1ebe713e90888241968da0e0",
+        "1b00518fc71b25282da6641ee5ffa184ca0174b25b8b363c277e70b206339a8e",
 }
 
 #: Empirical click pmf (15 channels) of each run in RUN_DIGESTS.
 PMF_DIGESTS = {
     ("noiseless", 3):
-        "4cba8f76e12c337a6f4a35f2c08100f611929943ca9c8c78e455b64048b78a8f",
+        "13aac3f7c9f619fbcacbb500df0ec35b1f6d562bce47b0528c8556dc1fffffa7",
     ("noiseless", 2 ** 63 + 11):
-        "34d054137038c14c60a40f5908227a7b118e8825e559ce69158945b271a0cb8a",
+        "11a89e5821142b466ddd0f8ab24d648e7f7723e334eb0e0ecc2d80ac1f789892",
     ("noisy", 3):
-        "c7a72027203ec1efaa2721c5bdc445f51071ac9fe991232556ac57bbc02ccceb",
+        "d99a9e2998cf6f383664d4822378d721e12483ab9d190f67324e70ce9ff6a667",
     ("noisy", 2 ** 63 + 11):
-        "6a9da3a84ac6d13d3943a78b93ee5f372065224cbc10b92014591b82ab518721",
+        "fb0c248675a89455eb94bee3ad376b4caaf853447386cd0bb51adbc91e62d077",
 }
 
 #: Monte Carlo herald tables on the noisy device, n = 0..6, 2,000 trials.
 HERALD_DIGESTS = {
     "exactly-one":
-        "170eeb3e619aefb54db00dc57b5ffed967b739493af4187d6a17a2f321eee74c",
+        "2d2b276f140d8f3c8b1811fac9f35bca9d25e3769ae175d75161d2df9424dc2e",
     "one-or-more":
-        "6cb873827e3a79ac2ef2787a65e54632db0178bce87f0118d3082214c50f9e07",
+        "d0bf5320ecab6819ae5ba4d4da9d3c884816d035bfb85ebfde06be67f622d74a",
 }
 
 #: A dead time shorter than the accepted window (5 ns < q * 60 = 10.2 ns),
@@ -80,10 +80,10 @@ DUPLICATE_WINDOW_DEVICE = reference_device(
     dead_time_ns=5.0, dark_prob_per_bin=2e-3, afterpulse_prob=0.3,
     afterpulse_decay_ns=8.0)
 #: Window clicks on channels 1..15, and how many of them share a window.
-DUPLICATE_WINDOW_HITS = (59541, 184)
+DUPLICATE_WINDOW_HITS = (60173, 180)
 DUPLICATE_WINDOW_DIGESTS = {
-    "run": "c4522bab90b41461783a59aea1a40f66b2c2c6581d0a1d594b9a21aecf431742",
-    "pmf": "ca9b5b92f02611ea42fa5e6d01d1ea1e0720bf935659d88abe6998fe2bceb13f",
+    "run": "2b3b23a80739dff80e355a1601e78080d4a796f83b0c9938175bcc10df2e59e2",
+    "pmf": "f7e0b5df55b87751fa0d10e09ddd626987afa13b4ecccbaeb08ea5c22047f188",
 }
 
 #: Afterpulse probability 1: every registered click leaves a pending
@@ -102,18 +102,18 @@ AFTERPULSE_DEVICES = {
 }
 AFTERPULSE_DIGESTS = {
     "pending": (
-        "8a21f0eb231aceb2dd8a4f3be73b84520b5e718a39547731d872511072b2dedd",
-        "4028e28a31572dec6dc8e257bbbdc82ff490d076a22eea4fc11f6c8770ab9bac"),
+        "52db4b2cfa87915c00a8bb0ed3e757328407174027f51e4a1e3daa6b5500a10c",
+        "3617bf825e5f24d12cc13961db7bc1e52950faeb02997dda65c4759a2686e9ca"),
     "registering": (
-        "9bbf1d8029b2631b086cd71fbf74a2133a56e0ef57c810638ec4c2348dc1c8fa",
-        "ba7d18f3b15a99a884fb4fd43c04161dc757ba6a234c6ca6c20d7753a853591a"),
+        "b85e715c7e47a59ed902d7e1a48ffebe13f990597480b37cd8a484a5df98c5cb",
+        "59b75e9308df1f9f928f8abcd43c96bb69ea130bec8a184893553a51d302ebf7"),
 }
 
 JSON_DIGESTS = {
     "ideal":
-        "49c911d5bc0cdb49dc76ffa0baca28111cbb1a202ee2e64dc501549a35f7bdcb",
+        "fa022afd2ba3dba5ac8294359fdfe3f7953a74e0aecb59351e0e4e8219ea06ca",
     "four-tij":
-        "c06f5c4981f79d97c67b0cbba5fd63767edfbb97f91251171c6727771d24c97c",
+        "00ddd25bd03bcf2957f1ec621cf6cd9869f41bace29577186882fb73cf641731",
 }
 
 

@@ -2,6 +2,7 @@
 and the reproducibility contract."""
 
 import heapq
+import math
 
 import numpy as np
 import pytest
@@ -23,7 +24,8 @@ from loopdet import (
 )
 from loopdet.clickstats import MAX_PHOTONS
 from loopdet.montecarlo import (BATCH_SIZE, ORIGIN_AFTERPULSE, ORIGIN_DARK,
-                                _resolve_flagged)
+                                _batch_rng, _resolve_flagged)
+from loopdet.postselect import herald_acceptance_from_mc
 from loopdet.errors import DomainError, ParameterError
 
 
@@ -115,6 +117,38 @@ class TestAgainstAnalytics:
             p0 = 1.0 - np.unique(result.pulse).size / n
             errs.append(abs(p0 - np.exp(-mu * T)))
         assert errs[1] < max(errs[0], 3e-4)
+
+    def test_poisson_photon_numbers(self):
+        # 24 batches of Poisson(mu) photon numbers, each batch one Poisson
+        # total spread uniformly over its pulses.
+        mu, n_batches = 2.13, 24
+        n = run_simulation(PhotonSource.poissonian(mu),
+                           noiseless(reference_device()),
+                           n_batches * BATCH_SIZE, seed=19).n_photons
+        # Per-n frequencies, n >= 11 lumped: 12 bins at |z| <= 5.
+        pmf = np.array([math.exp(-mu) * mu ** k / math.factorial(k)
+                        for k in range(11)])
+        pmf = np.r_[pmf, 1 - pmf.sum()]
+        freq = np.bincount(np.minimum(n, 11), minlength=12)
+        z = (freq - n.size * pmf) / np.sqrt(n.size * pmf * (1 - pmf))
+        assert np.abs(z).max() <= 5
+        # Lag 1 includes the pairs across each batch boundary; lag
+        # BATCH_SIZE pairs each pulse with its place in the next batch.
+        for lag in (1, BATCH_SIZE):
+            r = np.corrcoef(n[:-lag], n[lag:])[0, 1]
+            assert abs(r) * math.sqrt(n.size - lag) <= 5
+        # The first and the last pulse of every batch get photons too.
+        batches = n.reshape(n_batches, BATCH_SIZE)
+        for edge in (batches[:, 0], batches[:, -1]):
+            assert abs(edge.sum() - n_batches * mu) <= 5 * math.sqrt(n_batches * mu)
+        # Batch totals are Poisson(mu * BATCH_SIZE): their chi-square with
+        # n_batches (even) degrees of freedom has the closed-form tail
+        # P(chi2 > x) = P(Poisson(x / 2) < n_batches / 2).
+        x = np.sum((batches.sum(axis=1) - mu * BATCH_SIZE) ** 2) / (mu * BATCH_SIZE)
+        tail = math.exp(-x / 2) * sum((x / 2) ** j / math.factorial(j)
+                                      for j in range(n_batches // 2))
+        one_sided_5_sigma = 0.5 * math.erfc(5 / math.sqrt(2))
+        assert one_sided_5_sigma <= tail <= 1 - one_sided_5_sigma
 
     def test_fock_source(self):
         params = noiseless(reference_device())
@@ -242,6 +276,28 @@ class TestReproducibility:
         assert np.array_equal(serial.time_ns, parallel.time_ns)
         assert np.array_equal(serial.origin, parallel.origin)
         assert np.array_equal(serial.n_photons, parallel.n_photons)
+
+    def test_batch_streams_keyed_apart(self):
+        # (seed, batch) keys a spawned child, not zero-padded list entropy,
+        # under which (3, 5) and (3 + 5 * 2**32, 0) are one stream.
+        def first(seed, batch):
+            return _batch_rng(seed, batch).random()
+        assert first(3, 5) != first(3 + 5 * 2 ** 32, 0)
+        for seed, batch in ((0, 0), (3, 5), (2 ** 64, 7)):
+            assert first(seed, batch) != first(seed, batch + 1)
+            assert first(seed, batch) != first(seed + 1, batch)
+
+    def test_seeds_beyond_uint64(self, ref_params):
+        # Any nonnegative integer seeds a run; herald run n uses seed + n.
+        result = run_simulation(PhotonSource.poissonian(2.0), ref_params, 100,
+                                seed=2 ** 64)
+        assert result.n_photons.shape == (100,)
+        table = herald_acceptance_from_mc(ref_params, 2, "exactly-one", 100,
+                                          seed=2 ** 64 - 1)
+        assert table.shape == (3,) and table[0] < table[1]
+        # Only integers seed a run: a float is refused, not truncated.
+        with pytest.raises(ParameterError):
+            run_simulation(PhotonSource.poissonian(2.0), ref_params, 100, seed=3.5)
 
     def test_different_seeds_differ(self):
         params = reference_device()
