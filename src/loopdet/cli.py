@@ -9,35 +9,34 @@
 
 Exit codes: 0 success, 2 configuration/usage error or a file that cannot be
 opened, 3 model-domain error, 4 data error.
+
+The parser is built once, at import, and every ``main`` call parses with it.
+``channels --r-sweep`` and ``cm-curve`` each evaluate their whole grid in one
+array pass; a cm-curve point where c_M is undefined (mu = 0) is a NaN row.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
+import math
 import sys
 
 import numpy as np
 
 from . import __version__
 from .calibrate import calibrate_from_channels, read_channel_csv
-from .clickstats import (
-    PhotonSource,
-    multi_photon_content,
-    poisson_click_distribution,
-    source_multi_photon_content,
-)
+from .clickstats import (ClickDistribution, PhotonSource, _poisson_click_pmfs,
+                         multi_photon_content, source_multi_photon_content)
 from .config import RunConfig, load_config
-from .device import channel_transmissions, normalized_channels, total_transmission
+from .device import _series, channel_transmissions, total_transmission
 from .entropy import optimize_ratio
-from .errors import ConfigError, DataError, DomainError
-from .montecarlo import (
-    accumulate_histogram,
-    histogram_to_csv,
-    histogram_to_json,
-    run_simulation,
-)
+from .errors import (ConfigError, DataError, DegenerateDeviceError, DomainError,
+                     UndefinedContentError)
+from .montecarlo import (accumulate_histogram, histogram_to_csv, histogram_to_json,
+                         run_simulation)
 from .postselect import ACCEPT_RULES, wm_curve
 
 EXIT_OK = 0
@@ -46,18 +45,12 @@ EXIT_DOMAIN = 3
 EXIT_DATA = 4
 
 
-def _write_table(rows: list[dict], columns: list[str], fmt: str, path) -> None:
+def _write_table(rows: list[list], columns: list[str], fmt: str, path) -> None:
     if fmt == "json":
-        text = json.dumps([{c: row[c] for c in columns} for row in rows],
-                          indent=2) + "\n"
+        text = json.dumps([dict(zip(columns, row)) for row in rows], indent=2) + "\n"
     else:
-        import io
-
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([row[c] for c in columns])
+        csv.writer(buf, lineterminator="\n").writerows([columns, *rows])
         text = buf.getvalue()
     if path is None:
         sys.stdout.write(text)
@@ -102,31 +95,21 @@ def _parse_grid(spec: str, what: str) -> np.ndarray:
 
 def cmd_channels(args) -> int:
     cfg = _load(args)
-    params = cfg.device
     n = args.n_channels
+    r = _parse_grid(args.r_sweep, "r") if args.r_sweep else args.r
+    h, remainder = _series(cfg.device, n, r)
+    total = h.sum(axis=-1) + remainder
+    if np.any(total <= 0.0):
+        raise DegenerateDeviceError("total transmission is zero")
+    H, rest = h / total[..., None], remainder / total
     if args.r_sweep:
-        grid = _parse_grid(args.r_sweep, "r")
         columns = ["r"] + [f"H_{k}" for k in range(1, n + 1)] + ["H_rest"]
-        rows = []
-        for r in grid:
-            profile = channel_transmissions(params.with_ratio(float(r)), n)
-            H = normalized_channels(profile)
-            row = {"r": float(r)}
-            for k in range(1, n + 1):
-                row[f"H_{k}"] = float(H[k - 1])
-            row["H_rest"] = profile.remainder / profile.total
-            rows.append(row)
-        _write_table(rows, columns, cfg.out_format, cfg.out_path)
-        return EXIT_OK
-    if args.r is not None:
-        params = params.with_ratio(args.r)
-    profile = channel_transmissions(params, n)
-    H = normalized_channels(profile)
-    rows = [{"k": k + 1, "h_k": float(profile.h[k]), "H_k": float(H[k])}
-            for k in range(n)]
-    rows.append({"k": "tail", "h_k": profile.remainder,
-                 "H_k": profile.remainder / profile.total})
-    _write_table(rows, ["k", "h_k", "H_k"], cfg.out_format, cfg.out_path)
+        rows = np.column_stack([r, H, rest]).tolist()
+    else:
+        columns = ["k", "h_k", "H_k"]
+        rows = [[k + 1, *hH] for k, hH in enumerate(zip(h.tolist(), H.tolist()))]
+        rows.append(["tail", float(remainder), float(rest)])
+    _write_table(rows, columns, cfg.out_format, cfg.out_path)
     return EXIT_OK
 
 
@@ -136,8 +119,7 @@ def cmd_optimize(args) -> int:
     print(f"r_star = {scan.r_star:.6f}")
     print(f"e_star = {scan.e_star:.6f} nats")
     if cfg.out_path:
-        rows = [{"r": float(r), "entropy": float(e)}
-                for r, e in zip(scan.r_grid, scan.entropy)]
+        rows = np.column_stack([scan.r_grid, scan.entropy]).tolist()
         _write_table(rows, ["r", "entropy"], cfg.out_format, cfg.out_path)
     return EXIT_OK
 
@@ -146,17 +128,16 @@ def cmd_cm_curve(args) -> int:
     cfg = _load(args)
     grid = _parse_grid(args.mu_grid, "mu")
     profile = channel_transmissions(cfg.device, args.n_channels)
-    T = total_transmission(cfg.device)
+    T = total_transmission(cfg.device) if cfg.reference_plane == "detected" else 1.0
+    mus = [PhotonSource.poissonian(mu).mu for mu in grid.tolist()]
     rows = []
-    for mu in grid:
-        mu = float(mu)
-        cm_dev = multi_photon_content(poisson_click_distribution(mu, profile))
-        if cfg.reference_plane == "detected":
+    for mu, pmf in zip(mus, _poisson_click_pmfs(grid, profile.h)):
+        try:
+            cm_dev = multi_photon_content(ClickDistribution(pmf))
             cm_src = source_multi_photon_content(PhotonSource.poissonian(mu * T))
-        else:
-            cm_src = source_multi_photon_content(PhotonSource.poissonian(mu))
-        rows.append({"mu": mu, "cm_device": cm_dev, "cm_source": cm_src,
-                     "ratio": cm_dev / cm_src})
+        except UndefinedContentError:  # mu = 0: nothing clicks
+            cm_dev = cm_src = math.nan
+        rows.append([mu, cm_dev, cm_src, cm_dev / cm_src if cm_src > 0.0 else math.nan])
     _write_table(rows, ["mu", "cm_device", "cm_source", "ratio"],
                  cfg.out_format, cfg.out_path)
     return EXIT_OK
@@ -197,9 +178,8 @@ def cmd_calibrate(args) -> int:
     print(f"tl_hat = {result.tl_hat:.4f} +- {result.tl_sigma:.4f}")
     print(f"t0_hat = {result.t0_hat:.4f} +- {result.t0_sigma:.4f}")
     if cfg.out_path:
-        rows = [{"k": int(k), "ratio": float(r), "residual": float(res)}
-                for k, r, res in zip(result.used_k, result.ratios,
-                                     result.residuals)]
+        rows = [[int(k), float(r), float(res)]
+                for k, r, res in zip(result.used_k, result.ratios, result.residuals)]
         _write_table(rows, ["k", "ratio", "residual"], cfg.out_format,
                      cfg.out_path)
     return EXIT_OK
@@ -211,7 +191,8 @@ def cmd_postselect(args) -> int:
     profile = channel_transmissions(cfg.device, args.n_channels)
     rows = wm_curve(grid, profile, rule=args.rule,
                     signal_transmission=args.signal_transmission)
-    _write_table(rows, ["mu", "cm_in", "cm_out", "w_M", "herald_rate"],
+    columns = ["mu", "cm_in", "cm_out", "w_M", "herald_rate"]
+    _write_table([[row[c] for c in columns] for row in rows], columns,
                  cfg.out_format, cfg.out_path)
     return EXIT_OK
 
@@ -223,7 +204,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, mc=False):
+    def command(name, func, help, mc=False):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
         p.add_argument("--config", help="run-configuration file")
         p.add_argument("--format", choices=("csv", "json"))
         p.add_argument("--out", help="output path (default: stdout)")
@@ -233,53 +216,47 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--workers", type=int)
             p.add_argument("--mu", type=float,
                            help="Poissonian source mean (overrides config)")
+        return p
 
-    p = sub.add_parser("channels", help="channel transmission table")
-    common(p)
-    p.add_argument("--r", type=float, help="ideal-coupler division ratio")
-    p.add_argument("--r-sweep", help="sweep grid: comma list or lo:hi:n")
+    p = command("channels", cmd_channels, "channel transmission table")
+    ratio = p.add_mutually_exclusive_group()
+    ratio.add_argument("--r", type=float, help="ideal-coupler division ratio")
+    ratio.add_argument("--r-sweep", help="sweep grid: comma list or lo:hi:n")
     p.add_argument("--n-channels", type=int, default=6)
-    p.set_defaults(func=cmd_channels)
 
-    p = sub.add_parser("optimize", help="entropy-optimal division ratio")
-    common(p)
+    p = command("optimize", cmd_optimize, "entropy-optimal division ratio")
     p.add_argument("--normalized", action="store_true",
                    help="maximize entropy of normalized channel probabilities")
-    p.set_defaults(func=cmd_optimize)
 
-    p = sub.add_parser("cm-curve", help="multi-photon content vs mu")
-    common(p)
+    p = command("cm-curve", cmd_cm_curve, "multi-photon content vs mu")
     p.add_argument("--mu-grid", required=True, help="comma list or lo:hi:n")
     p.add_argument("--n-channels", type=int, default=15)
     p.add_argument("--reference-plane", choices=("input", "detected"))
-    p.set_defaults(func=cmd_cm_curve)
 
-    p = sub.add_parser("simulate-tof", help="Monte Carlo time-of-flight histogram")
-    common(p, mc=True)
-    p.set_defaults(func=cmd_simulate_tof)
+    command("simulate-tof", cmd_simulate_tof, "Monte Carlo time-of-flight histogram",
+            mc=True)
 
-    p = sub.add_parser("calibrate", help="loss calibration from channel data")
-    common(p)
+    p = command("calibrate", cmd_calibrate, "loss calibration from channel data")
     p.add_argument("--input", help="CSV with columns k,H_k[,sigma_k]")
     p.add_argument("--channels", help="inline H_k list, e.g. 0.39,0.42,0.13")
     p.add_argument("--t-over-eta", type=float, default=0.78)
     p.add_argument("--theta", type=float, default=0.955)
-    p.set_defaults(func=cmd_calibrate)
 
-    p = sub.add_parser("postselect", help="heralded multi-photon reduction")
-    common(p)
+    p = command("postselect", cmd_postselect, "heralded multi-photon reduction")
     p.add_argument("--mu-grid", required=True, help="comma list or lo:hi:n")
     p.add_argument("--rule", choices=ACCEPT_RULES, default="exactly-one")
     p.add_argument("--n-channels", type=int, default=15)
     p.add_argument("--signal-transmission", type=float, default=1.0)
-    p.set_defaults(func=cmd_postselect)
 
     return parser
 
 
+#: Built once at import; parsing leaves it unchanged, so every call shares it.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, OSError) as exc:

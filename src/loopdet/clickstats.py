@@ -147,12 +147,21 @@ def poisson_click_distribution(mu: float, profile: ChannelProfile) -> ClickDistr
     channels follows the Poisson-binomial distribution of those N
     independent events.
     """
-    mu = PhotonSource.poissonian(mu).mu
-    c = -np.expm1(-mu * profile.h)
-    p = np.array([1.0])
-    for ck in c:
-        p = np.convolve(p, [1.0 - ck, ck])
-    return ClickDistribution(p)
+    return ClickDistribution(_poisson_click_pmfs(PhotonSource.poissonian(mu).mu, profile.h))
+
+
+def _poisson_click_pmfs(mu, h: np.ndarray) -> np.ndarray:
+    """Click pmfs p[..., m], m = 0..N, one row per checked mean in ``mu``.
+    Channel k clicks with c_k = 1 - exp(-mu*h_k); adding it to the
+    Poisson-binomial recursion keeps m clicks with 1 - c_k, makes m + 1 with c_k."""
+    c = -np.expm1(-np.multiply.outer(mu, h))
+    p = np.zeros(c.shape[:-1] + (h.size + 1,))
+    p[..., 0] = 1.0
+    for k in range(h.size):
+        ck = c[..., k, None]
+        p[..., 1:] = p[..., 1:] * (1.0 - ck) + p[..., :-1] * ck
+        p[..., 0] *= 1.0 - ck[..., 0]
+    return p
 
 
 def binomial_matrix(size: int, p: float, t: float = 1.0) -> np.ndarray:

@@ -168,13 +168,19 @@ class ChannelProfile:
 def _geometric(params: DeviceParams, r=None):
     """(h_1, h_2, rho) of the channel series h_k = h_2 * rho**(k-2), k >= 2.
 
-    A scalar or array ``r`` swaps in the ideal coupler at that ratio.  With
-    no light into the loop (t14 * t23 = 0) the series is finite whatever
-    theta*tl*t24, and rho is returned as 0.
+    A scalar or array ``r`` in [0, 1] swaps in the ideal coupler at that
+    ratio.  With no light into the loop (t14 * t23 = 0) the series is finite
+    whatever theta*tl*t24, and rho is returned as 0.
     """
     c = params.coupler
-    t13, t14, t23, t24 = ((c.t13, c.t14, c.t23, c.t24) if r is None
-                          else (r, 1.0 - r, 1.0 - r, r))
+    if r is None:
+        t13, t14, t23, t24 = c.t13, c.t14, c.t23, c.t24
+    else:
+        r = t13 = t24 = np.asarray(r, dtype=float)
+        bad = r[~((r >= 0.0) & (r <= 1.0))]  # NaN is outside too
+        if bad.size:
+            _check_unit_interval("r", float(bad[0]))
+        t14 = t23 = 1.0 - r
     a = params.t0 * params.theta * params.eta
     rho = params.theta * params.tl * t24
     looped = t14 * t23 > 0.0
@@ -186,15 +192,23 @@ def _geometric(params: DeviceParams, r=None):
     return a * t13, a * t14 * params.theta * params.tl * t23, rho * looped
 
 
+def _series(params: DeviceParams, n_channels: int, r=None):
+    """Channels h_1..h_N (last axis) and tail h_2 * rho**(N-1) / (1 - rho)
+    beyond N, of the coupler of ``params`` or at each ratio of ``r``."""
+    h1, h2, rho = (np.asarray(x, dtype=float) for x in _geometric(params, r))
+    tail = h2[..., None] * rho[..., None] ** np.arange(n_channels - 1)
+    h = np.concatenate([h1[..., None], tail], axis=-1)
+    return h, h2 * rho ** (n_channels - 1) / (1.0 - rho)
+
+
 def channel_transmissions(params: DeviceParams,
                           n_channels: int = DEFAULT_N_CHANNELS) -> ChannelProfile:
     """Per-channel transmissions h_1..h_N and the closed-form tail
     h_2 * rho**(N-1) / (1 - rho) beyond N."""
     if n_channels < 1:
         raise ParameterError(f"n_channels must be >= 1, got {n_channels}")
-    h1, h2, rho = (np.asarray(x, dtype=float) for x in _geometric(params))
-    h = np.r_[h1, h2 * rho ** np.arange(n_channels - 1)]
-    return ChannelProfile(h, float(h2 * rho ** (n_channels - 1) / (1.0 - rho)))
+    h, remainder = _series(params, n_channels)
+    return ChannelProfile(h, float(remainder))
 
 
 def total_transmission(params: DeviceParams) -> float:

@@ -1,8 +1,10 @@
 """Command-line interface and configuration files: outputs, overrides,
 exit codes, reproducibility."""
 
+import argparse
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,8 +15,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import loopdet
+from loopdet import (PhotonSource, channel_transmissions, multi_photon_content,
+                     normalized_channels, poisson_click_distribution,
+                     source_multi_photon_content, total_transmission)
 from loopdet.cli import EXIT_CONFIG, EXIT_DATA, EXIT_DOMAIN, EXIT_OK, main
-from loopdet.config import load_config
+from loopdet.config import RunConfig, load_config
 from loopdet.errors import ConfigError
 from loopdet.postselect import ACCEPT_RULES
 
@@ -158,6 +163,61 @@ COMMANDS = {
 }
 
 
+GENERAL_COUPLER = "[device]\nt13 = 0.5\nt14 = 0.45\nt23 = 0.2\nt24 = 0.75\n"
+
+
+class TestSharedParser:
+    """main parses with one parser, built when loopdet.cli is imported."""
+
+    def test_calls_leave_no_state(self, capsys, tmp_path):
+        divergent = tmp_path / "divergent.ini"
+        divergent.write_text("[device]\ntheta = 1.0\ntl = 1.0\nt13 = 0.5\nt14 = 0.5\n"
+                             "t23 = 1e-12\nt24 = 0.999999999999\n")
+
+        def run_every_command():
+            seen = {}
+            for name, argv in COMMANDS.items():
+                out = tmp_path / f"{name}.out"
+                code, stdout, err = run(capsys, *argv, "--out", str(out))
+                seen[name] = (code, stdout, err, out.read_bytes())
+            return seen
+
+        first = run_every_command()
+        assert {code for code, *_ in first.values()} == {EXIT_OK}
+        # Options that differ from every default, then each kind of failure.
+        assert run(capsys, "channels", "--r", "0.2", "--n-channels", "9", "--format", "json",
+                   "--out", str(tmp_path / "other.json"))[0] == EXIT_OK
+        for argv in (["channels", "--n-channels", "x"], ["bogus"],
+                     ["channels", "--r", "0.3", "--r-sweep", "0.3:0.6:3"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == EXIT_CONFIG
+        assert run(capsys, "calibrate")[0] == EXIT_CONFIG
+        assert run(capsys, "channels", "--config", str(divergent))[0] == EXIT_DOMAIN
+        for argv in (["--help"], ["--version"], ["channels", "--help"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 0
+        capsys.readouterr()
+        assert run_every_command() == first
+
+    def test_main_builds_no_parser(self, capsys, monkeypatch, tmp_path):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        for name, argv in COMMANDS.items():
+            assert main([*argv, "--out", str(tmp_path / f"{name}.out")]) == EXIT_OK
+        for argv in (["--help"], ["channels", "--n-channels", "x"]):
+            with pytest.raises(SystemExit):
+                main(argv)
+        assert built == []
+
+
 def label_or_int(cell):
     return cell if cell == "tail" else int(cell)
 
@@ -270,6 +330,62 @@ class TestChannelsCommand:
         assert code == EXIT_CONFIG
         assert "grid" in err
 
+    @pytest.mark.parametrize("n", [1, 6, 31])
+    @pytest.mark.parametrize("config", [None, GENERAL_COUPLER], ids=["default", "general"])
+    def test_sweep_rows_match_per_ratio_profiles(self, capsys, tmp_path, n, config):
+        # Every row of the one-pass sweep against the profile of the device
+        # with its coupler replaced by ideal(r), one r at a time.
+        grid = [0.0, 0.05, 0.3, 0.446, 0.5, 0.77, 0.999, 1.0]
+        argv = ["channels", "--r-sweep", ",".join(map(str, grid)), "--n-channels", str(n),
+                "--out", str(tmp_path / "sweep.csv")]
+        params = RunConfig().device
+        if config:
+            (tmp_path / "dev.ini").write_text(config)
+            argv += ["--config", str(tmp_path / "dev.ini")]
+            params = load_config(tmp_path / "dev.ini").device
+        assert run(capsys, *argv) == (EXIT_OK, "", "")
+        rows = read_csv(tmp_path / "sweep.csv")
+        assert [float(row["r"]) for row in rows] == grid
+        for row in rows:
+            profile = channel_transmissions(params.with_ratio(float(row["r"])), n)
+            np.testing.assert_allclose([float(row[f"H_{k}"]) for k in range(1, n + 1)],
+                                       normalized_channels(profile), rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(float(row["H_rest"]),
+                                       profile.remainder / profile.total, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("option,grid", [
+        ("--r-sweep", "-0.1,0.5"), ("--r-sweep", "0.5,nan"), ("--r-sweep", "0.2,0.4,1.5"),
+        ("--r-sweep", "0:1.2:4"), ("--r", "nan"), ("--r", "1.5")])
+    def test_ratio_outside_unit_interval(self, capsys, tmp_path, option, grid):
+        out = tmp_path / "sweep.csv"
+        code, _, err = run(capsys, "channels", f"{option}={grid}", "--out", str(out))
+        assert code == EXIT_DOMAIN
+        assert "domain error: r must lie in [0, 1]" in err
+        assert not out.exists()
+
+    def test_sweep_through_lossless_loop(self, capsys, tmp_path):
+        # theta = tl = 1: the loop series diverges as r -> 1.  At r = 1 no
+        # light enters the loop, so that point alone is a finite profile.
+        ini = tmp_path / "lossless.ini"
+        ini.write_text("[device]\ntheta = 1\ntl = 1\n")
+        out = tmp_path / "sweep.csv"
+        code, _, err = run(capsys, "channels", "--config", str(ini), "--r-sweep",
+                           "0.5,0.9999999999999,1", "--out", str(out))
+        assert code == EXIT_DOMAIN and "does not converge" in err
+        assert not out.exists()
+        assert run(capsys, "channels", "--config", str(ini), "--r-sweep", "0.5:1:3",
+                   "--n-channels", "3", "--out", str(out))[0] == EXIT_OK
+        assert read_csv(out)[-1] == {"r": "1.0", "H_1": "1.0", "H_2": "0.0", "H_3": "0.0",
+                                     "H_rest": "0.0"}
+
+    def test_ratio_and_sweep_are_exclusive(self, capsys, tmp_path):
+        out = tmp_path / "sweep.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["channels", "--r", "0.3", "--r-sweep", "0.3:0.6:3", "--out", str(out)])
+        assert exc.value.code == EXIT_CONFIG
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestOptimizeCommand:
     def test_prints_optimum(self, capsys):
@@ -308,6 +424,51 @@ class TestCmCurveCommand:
         with pytest.raises(SystemExit) as exc:
             main(["cm-curve"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("plane", ["input", "detected"])
+    def test_rows_match_per_mu_distributions(self, capsys, tmp_path, plane):
+        out = tmp_path / "cm.csv"
+        assert run(capsys, "cm-curve", "--mu-grid", "0.001:40:25", "--reference-plane", plane,
+                   "--out", str(out))[0] == EXIT_OK
+        params = RunConfig().device
+        profile = channel_transmissions(params, 15)
+        scale = total_transmission(params) if plane == "detected" else 1.0
+        rows = read_csv(out)
+        assert len(rows) == 25
+        for row in rows:
+            mu = float(row["mu"])
+            cm_dev = multi_photon_content(poisson_click_distribution(mu, profile))
+            cm_src = source_multi_photon_content(PhotonSource.poissonian(mu * scale))
+            np.testing.assert_allclose(
+                [float(row[c]) for c in ("cm_device", "cm_source", "ratio")],
+                [cm_dev, cm_src, cm_dev / cm_src], rtol=1e-12, atol=0.0)
+
+    def test_vacuum_point_is_nan_row(self, capsys, tmp_path):
+        # c_M is undefined at mu = 0; the point becomes a NaN row, as in
+        # postselect, and the rest of the grid is written.
+        for command in ("cm-curve", "postselect"):
+            out = tmp_path / f"{command}.csv"
+            code, _, err = run(capsys, command, "--mu-grid", "0:5:11", "--out", str(out))
+            assert (code, err) == (EXIT_OK, "")
+            rows = read_csv(out)
+            assert len(rows) == 11 and rows[0]["mu"] == "0.0"
+            assert all(math.isnan(float(v)) for k, v in rows[0].items() if k != "mu")
+            assert all(math.isfinite(float(v)) for row in rows[1:] for v in row.values())
+
+    def test_vanishing_source_content_gives_nan_ratio(self, capsys, tmp_path):
+        # At mu = 1e-300 both contents round to 0, so their ratio is undefined.
+        out = tmp_path / "cm.csv"
+        assert run(capsys, "cm-curve", "--mu-grid", "1e-300,1", "--out", str(out)) == (
+            EXIT_OK, "", "")
+        first = read_csv(out)[0]
+        assert (first["cm_device"], first["cm_source"], first["ratio"]) == ("0.0", "0.0", "nan")
+
+    @pytest.mark.parametrize("grid", ["-1,1", "1,nan"])
+    def test_bad_mu_still_fails_whole_grid(self, capsys, tmp_path, grid):
+        out = tmp_path / "cm.csv"
+        code, _, err = run(capsys, "cm-curve", f"--mu-grid={grid}", "--out", str(out))
+        assert code == EXIT_DOMAIN and "mu must be finite and >= 0" in err
+        assert not out.exists()
 
 
 class TestSimulateTofCommand:

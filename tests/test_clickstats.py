@@ -23,7 +23,8 @@ from loopdet import (
     normalized_channels,
     total_transmission,
 )
-from loopdet.clickstats import MAX_PHOTONS, fock_click_matrix, poisson_truncation
+from loopdet.clickstats import (MAX_PHOTONS, _poisson_click_pmfs, fock_click_matrix,
+                                poisson_truncation)
 from loopdet.errors import (
     DegenerateDeviceError,
     DomainError,
@@ -245,6 +246,27 @@ class TestPoissonClickDistribution:
             mixed = custom_click_distribution(
                 PhotonSource.poissonian(mu), prof).p_click
             assert mixed == pytest.approx(direct, abs=1e-9)
+
+    def test_recursion_matches_convolution_chain(self):
+        # The array recursion does the convolution chain's arithmetic in the
+        # same order, so the pmfs are equal, not just close.
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            prof = channel_transmissions(
+                reference_device(r=float(rng.uniform(0, 1)), tl=float(rng.uniform(0.5, 0.99))),
+                int(rng.integers(1, 32)))
+            mu = float(rng.uniform(0, 50))
+            np.testing.assert_array_equal(poisson_click_distribution(mu, prof).p_click,
+                                          poisson_binomial(-np.expm1(-mu * prof.h)))
+
+    def test_grid_pass_matches_per_mu(self, ref_params):
+        prof = channel_transmissions(ref_params, 15)
+        mus = np.r_[0.0, np.linspace(0.01, 40.0, 37)]
+        pmfs = _poisson_click_pmfs(mus, prof.h)
+        assert pmfs.shape == (mus.size, 16)
+        for mu, pmf in zip(mus, pmfs):
+            np.testing.assert_allclose(pmf, poisson_click_distribution(mu, prof).p_click,
+                                       rtol=1e-12, atol=0.0)
 
     @given(mu=st.floats(0.0, 8.0), seed=st.integers(0, 2 ** 31))
     @settings(max_examples=40, deadline=None)
