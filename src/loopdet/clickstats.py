@@ -3,7 +3,8 @@
 Given input photon statistics and a channel profile, these routines give
 the exact distribution of the number of *distinct* channels that click in
 one pulse, and the derived quantities p0, p1, pM and the multi-photon
-content c_M = pM / (p1 + pM).
+content c_M = pM / (p1 + pM).  Every log-factorial comes from one table,
+``_LOG_FACT``, built at import; a click matrix builds its log-binomials once.
 """
 
 from __future__ import annotations
@@ -82,9 +83,7 @@ class PhotonSource:
             out[0] = 1.0
             return out
         # Stable Poisson pmf via log-space evaluation.
-        logp = ns * math.log(self.mu) - self.mu - np.array(
-            [math.lgamma(n + 1.0) for n in ns])
-        return np.exp(logp)
+        return np.exp(ns * math.log(self.mu) - self.mu - _LOG_FACT[: n_max + 1])
 
 
 #: Largest photon number a source may reach: the Poisson cut-off, the Fock
@@ -93,6 +92,8 @@ class PhotonSource:
 #: expected pulses plus photons, so 1,000 photons per pulse peak near
 #: 270 MB; the click kernel's (n+1) x (n+1) binomial matrices take 8 MB.
 MAX_PHOTONS = 1000
+#: log(n!) for n = 0..MAX_PHOTONS, built once at import (8 KB) and sliced.
+_LOG_FACT = np.array([math.lgamma(n + 1.0) for n in range(MAX_PHOTONS + 1)])
 
 
 def _check_count(n, name: str) -> int:
@@ -118,6 +119,7 @@ class ClickDistribution:
     """Probability of exactly m distinct channels clicking, m = 0..N."""
 
     p_click: np.ndarray
+    dropped_mass: float = 0.0  # source mass beyond the photon-number cut-off
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "p_click", np.asarray(self.p_click, dtype=float))
@@ -164,19 +166,28 @@ def _poisson_click_pmfs(mu, h: np.ndarray) -> np.ndarray:
     return p
 
 
-def binomial_matrix(size: int, p: float, t: float = 1.0) -> np.ndarray:
-    """M[n, j] = C(n, j) p^(n-j) t^j for 0 <= j <= n < size, else 0.
-
-    Each entry is exponentiated from its logarithm, so C(n, j) never
-    overflows as n! does, and 0^0 = 1.
-    """
+def _log_binomial(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """log C(n, j) and d = n - j for 0 <= n, j < size; callers mask d < 0."""
     n = np.arange(size)
-    log_fact = np.array([math.lgamma(k + 1.0) for k in n])
     d = n[:, None] - n[None, :]
+    log_fact = _LOG_FACT[:size]
+    return log_fact[:, None] - log_fact[None, :] - log_fact[np.abs(d)], d
+
+
+def _binomial_terms(log_c, d, p: float, t: float, keep) -> np.ndarray:
+    """C(n, j) p^(n-j) t^j where ``keep``, else 0, exponentiated from its
+    logarithm, so C(n, j) never overflows as n! does, and 0^0 = 1."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        log = (log_fact[:, None] - log_fact[None, :] - log_fact[np.abs(d)]
-               + np.where(d == 0, 0.0, d * np.log(p)) + n * math.log(t))
-    return np.exp(np.where(d >= 0, log, -np.inf))
+        log = (log_c + np.where(d == 0, 0.0, d * np.log(p))
+               + np.arange(d.shape[1]) * math.log(t))
+    return np.exp(np.where(keep, log, -np.inf))
+
+
+def binomial_matrix(size: int, p: float, t: float = 1.0) -> np.ndarray:
+    """M[n, j] = C(n, j) p^(n-j) t^j for j <= n < size <= MAX_PHOTONS + 1, else 0."""
+    size = _check_photons(size - 1, f"a binomial matrix of size {size}") + 1
+    log_c, d = _log_binomial(size)
+    return _binomial_terms(log_c, d, p, t, d >= 0)
 
 
 def fock_click_matrix(n_max: int, profile: ChannelProfile) -> np.ndarray:
@@ -194,11 +205,13 @@ def fock_click_matrix(n_max: int, profile: ChannelProfile) -> np.ndarray:
     q = 1.0 - float(h.sum())
     if q < -1e-12:
         raise ParameterError(f"channel transmissions sum to {1.0 - q!r} > 1")
+    log_c, d = _log_binomial(size)
+    moved = d > 0  # at least one photon into channel k
     G = np.zeros((size, h.size + 1))
     G[0, 0] = 1.0
     for h_k in h:
-        G[:, 1:] += (binomial_matrix(size, h_k) - np.eye(size)) @ G[:, :-1]
-    return binomial_matrix(size, max(q, 0.0)) @ G
+        G[:, 1:] += _binomial_terms(log_c, d, h_k, 1.0, moved) @ G[:, :-1]
+    return _binomial_terms(log_c, d, max(q, 0.0), 1.0, d >= 0) @ G
 
 
 def fock_click_distribution(n: int, profile: ChannelProfile) -> ClickDistribution:
@@ -211,15 +224,15 @@ def fock_click_distribution(n: int, profile: ChannelProfile) -> ClickDistributio
 def custom_click_distribution(source: PhotonSource,
                               profile: ChannelProfile,
                               n_max: int | None = None) -> ClickDistribution:
-    """Click pmf for an arbitrary source: Fock mixture with source weights."""
+    """Click pmf for an arbitrary source: Fock mixture with source weights,
+    renormalised within the cut-off; ``dropped_mass`` is the mass beyond it."""
     pmf = source.pmf_array(n_max)
     out = pmf @ fock_click_matrix(pmf.size - 1, profile)
     total = out.sum()
     if total <= 0.0:
         raise ParameterError("source pmf carries no mass within the truncation")
-    # Renormalize away the sliver of tail mass lost to pmf truncation.
     out /= total
-    return ClickDistribution(out)
+    return ClickDistribution(out, dropped_mass=max(1.0 - float(pmf.sum()), 0.0))
 
 
 def multi_photon_content(dist: ClickDistribution) -> float:

@@ -7,7 +7,8 @@ partner.  The conditioned photon-number pmf is
 
     pmf_out(n)  propto  pmf_in(n) * P(accept | n photons into herald arm)
 
-and the figure of merit is w_M = c_M(out) / c_M(in).
+and the figure of merit is w_M = c_M(out) / c_M(in).  ``wm_curve`` evaluates
+P(accept | n) once for its whole mu grid.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ class PostselectResult:
     w_M: float  # cm_out / cm_in; NaN when cm_in = 0
     herald_rate: float
     conditioned_pmf: np.ndarray
+    dropped_mass: float = 0.0  # source mass beyond the photon-number cut-off
 
 
 def _thin_pmf(pmf: np.ndarray, transmission: float) -> np.ndarray:
@@ -73,6 +75,14 @@ def _content(pmf: np.ndarray) -> float:
     return float(pmf[2:].sum()) / p_ge1
 
 
+def _checked_table(acceptance) -> np.ndarray:
+    """An external P(accept | n) table: 1-d floats, each finite and in [0, 1]."""
+    accept = np.asarray(acceptance, dtype=float)
+    if accept.ndim != 1 or not np.all((accept >= 0.0) & (accept <= 1.0)):  # NaN fails
+        raise ParameterError("acceptance must be a 1-d table of numbers in [0, 1]")
+    return accept
+
+
 def postselect(source: PhotonSource, herald_profile: ChannelProfile,
                rule: str = "exactly-one",
                signal_transmission: float = 1.0,
@@ -83,33 +93,37 @@ def postselect(source: PhotonSource, herald_profile: ChannelProfile,
     ``signal_transmission`` models imperfect collection on the signal arm
     (default 1: ideal pair correlation and unit collection).  ``acceptance``
     may supply an externally estimated P(accept | n) array (e.g. from noisy
-    Monte Carlo herald runs), overriding the analytic rule.
+    Monte Carlo herald runs), overriding the analytic rule; an entry that is
+    not a number in [0, 1] is a ParameterError.  ``dropped_mass`` reports
+    the source mass beyond the cut-off ``n_max``.
     """
-    if not 0.0 < signal_transmission <= 1.0:
+    return _postselect(source, herald_profile, rule, signal_transmission, n_max,
+                       None if acceptance is None else _checked_table(acceptance))
+
+
+def _postselect(source, profile, rule, transmission, n_max, acceptance) -> PostselectResult:
+    """``postselect`` with ``acceptance`` None or an already checked table."""
+    if not 0.0 < transmission <= 1.0:
         raise ParameterError("signal_transmission must lie in (0, 1]")
     pmf = source.pmf_array(n_max)
-    if acceptance is None:
-        accept = acceptance_probability(rule, np.arange(pmf.size), herald_profile)
-    else:
-        accept = np.asarray(acceptance, dtype=float)
-        if accept.size < pmf.size:
-            raise ParameterError(
-                f"acceptance table too short: {accept.size} < {pmf.size}")
-        accept = accept[: pmf.size]
+    accept = (acceptance_probability(rule, np.arange(pmf.size), profile)
+              if acceptance is None else acceptance[: pmf.size])
+    if accept.size < pmf.size:
+        raise ParameterError(f"acceptance table too short: {accept.size} < {pmf.size}")
 
     joint = pmf * accept
     herald_rate = float(joint.sum())
     if herald_rate <= 0.0:
         raise NoAcceptanceError("accept rule never fires for this source")
     conditioned = joint / herald_rate
-    output_pmf = _thin_pmf(conditioned, signal_transmission)
+    output_pmf = _thin_pmf(conditioned, transmission)
 
     cm_in = _content(pmf)
     cm_out = _content(output_pmf)
     w_M = cm_out / cm_in if cm_in > 0.0 else math.nan
     return PostselectResult(cm_in=cm_in, cm_out=cm_out, w_M=w_M,
-                            herald_rate=herald_rate,
-                            conditioned_pmf=output_pmf)
+                            herald_rate=herald_rate, conditioned_pmf=output_pmf,
+                            dropped_mass=max(1.0 - float(pmf.sum()), 0.0))
 
 
 def herald_acceptance_from_mc(params: DeviceParams, n_max: int,
@@ -145,19 +159,22 @@ def wm_curve(mu_grid, herald_profile: ChannelProfile,
              rule: str = "exactly-one",
              signal_transmission: float = 1.0,
              acceptance=None) -> list[dict]:
-    """Postselection summary for each mu.
-
-    A mu at which the rule never fires (mu = 0) becomes a NaN row; any other
-    error, such as an ``acceptance`` table shorter than the Poisson cut-off,
-    propagates.
-    """
+    """Postselection summary for each mu, all from one acceptance vector: the
+    rule's up to the grid's largest Poisson cut-off, or ``acceptance``, checked
+    once.  A mu at which the rule never fires (mu = 0) becomes a NaN row; any
+    other error, such as an ``acceptance`` table shorter than the Poisson
+    cut-off, propagates."""
+    if acceptance is None:
+        top = max((PhotonSource.poissonian(mu).n_max for mu in mu_grid), default=0)
+        acceptance = acceptance_probability(rule, np.arange(top + 1), herald_profile)
+    else:
+        acceptance = _checked_table(acceptance)
     rows = []
     for mu in mu_grid:
         row = {"mu": float(mu)}
         try:
-            res = postselect(PhotonSource.poissonian(mu), herald_profile,
-                             rule=rule, signal_transmission=signal_transmission,
-                             acceptance=acceptance)
+            res = _postselect(PhotonSource.poissonian(mu), herald_profile, rule,
+                              signal_transmission, None, acceptance)
             row.update(cm_in=res.cm_in, cm_out=res.cm_out, w_M=res.w_M,
                        herald_rate=res.herald_rate)
         except NoAcceptanceError:

@@ -3,6 +3,7 @@ exit codes, reproducibility."""
 
 import argparse
 import csv
+import hashlib
 import json
 import math
 import os
@@ -654,6 +655,30 @@ def test_calibrate_output_bytes(capsys, tmp_path, monkeypatch, case):
     assert run(capsys, "calibrate", *argv, "--out", "out.csv") == \
         (EXIT_OK, stdout, stderr)
     assert (tmp_path / "out.csv").read_bytes() == rows.encode()
+
+
+#: SHA-256 of the README postselect example's JSON stdout per rule, at unit
+#: signal transmission and, to pin the binomial thinning, at 0.8; recorded
+#: from the per-mu acceptance evaluation before the shared log-factorial table.
+POSTSELECT_JSON_SHA256 = {
+    ("exactly-one", "1"): "dfe8e211d29a68aa65819f51fe30dfedeb14d5fa2da3d244c635ec896ea2d5d3",
+    ("one-or-more", "1"): "3e528dbb9fedf3a43f9c10729eb641ee1cffe44d5b5af82886402717b62c731c",
+    ("first-channel-only", "1"):
+        "c42ebe937c6a2dfb159cb2b601851560ee9e1f39661f6dbb2869e7d4d5950511",
+    ("exactly-one", "0.8"): "87478ee8fe28c6244eeabfe6a9164f57c4ae2f3685965a05c5e772d9aa7ae68a",
+    ("one-or-more", "0.8"): "078731de5cd9f33a65cf6f9b9eaf5bd6ea30939805c940816228edf7382dec7d",
+    ("first-channel-only", "0.8"):
+        "522d9b13a4e00aa903d2180c529ff68ce6848e68b170c1d53e8a823e858e37e8",
+}
+
+
+@pytest.mark.parametrize("rule,transmission", sorted(POSTSELECT_JSON_SHA256))
+def test_postselect_output_bytes(capsys, rule, transmission):
+    code, out, err = run(capsys, "postselect", "--mu-grid", "0.5:5:10", "--rule", rule,
+                         "--signal-transmission", transmission, "--format", "json")
+    assert (code, err) == (EXIT_OK, "")
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == POSTSELECT_JSON_SHA256[rule, transmission]
 
 
 class TestPostselectCommand:

@@ -23,8 +23,8 @@ from loopdet import (
     normalized_channels,
     total_transmission,
 )
-from loopdet.clickstats import (MAX_PHOTONS, _poisson_click_pmfs, fock_click_matrix,
-                                poisson_truncation)
+from loopdet.clickstats import (MAX_PHOTONS, _LOG_FACT, _poisson_click_pmfs,
+                                binomial_matrix, fock_click_matrix, poisson_truncation)
 from loopdet.errors import (
     DegenerateDeviceError,
     DomainError,
@@ -67,6 +67,14 @@ def multiset_fock(n, h):
 
     recurse(0, n, 1.0, 0)
     return pmf
+
+
+def poisson_pmf(mu, n):
+    """e^-mu mu^n / n! by the recursion p_k = p_(k-1) mu / k."""
+    p = math.exp(-mu)
+    for k in range(1, n + 1):
+        p *= mu / k
+    return p
 
 
 def poisson_binomial(c):
@@ -130,6 +138,16 @@ class TestFockClickDistribution:
         assert np.all(P >= 0.0)
         assert P.sum(axis=1) == pytest.approx(np.ones(n_max + 1), abs=1e-12)
         assert np.all(np.triu(P, k=1) == 0.0)
+
+    def test_rows_finite_and_normalised_at_the_ceiling(self, ref_params):
+        # Each log C(n, j) is a difference of log-factorials up to log(1000!)
+        # ~ 5912, so its absolute error, and the relative error of each term
+        # after exp, is about eps * log(n!): 1.3e-12 at n = 1000.
+        P = fock_click_matrix(MAX_PHOTONS, channel_transmissions(ref_params, 15))
+        assert np.all(np.isfinite(P)) and np.all(P >= 0.0)
+        bound = 1e-14 + 2 * np.finfo(float).eps * _LOG_FACT
+        assert np.all(np.abs(P.sum(axis=1) - 1.0) <= bound)
+        assert np.all(bound[:300] < 1e-12)
 
     def test_poisson_truncation_ceiling(self):
         assert poisson_truncation(710.0) == 997 <= MAX_PHOTONS
@@ -200,6 +218,28 @@ class TestFockClickDistribution:
             fock_click_matrix(-1, profile(0.5))
         with pytest.raises(ParameterError):
             fock_click_matrix(3, profile(0.7, 0.6))
+
+
+class TestBinomialMatrix:
+    @pytest.mark.parametrize("p,t", [(0.0, 1.0), (0.3, 1.0), (0.2, 0.8),
+                                     (1.0, 1.0), (0.0, 0.6), (0.05, 0.5)])
+    def test_matches_math_comb(self, p, t):
+        for size in range(1, 31):
+            oracle = np.array([[math.comb(n, j) * p ** (n - j) * t ** j if j <= n else 0.0
+                                for j in range(size)] for n in range(size)])
+            M = binomial_matrix(size, p, t)
+            np.testing.assert_allclose(M, oracle, rtol=1e-13, atol=0.0)
+            assert np.all(M[oracle == 0.0] == 0.0)
+
+    def test_photon_ceiling(self):
+        # Checked before the size x size matrix is built.
+        assert binomial_matrix(MAX_PHOTONS + 1, 0.5).shape == (MAX_PHOTONS + 1,) * 2
+        for size in (MAX_PHOTONS + 2, 1500, 10 ** 400):
+            with pytest.raises(DomainError, match="MAX_PHOTONS"):
+                binomial_matrix(size, 0.5)
+        for size in (0, -3, 2.5):
+            with pytest.raises(ParameterError):
+                binomial_matrix(size, 0.5)
 
 
 class TestPoissonClickDistribution:
@@ -289,6 +329,21 @@ class TestCustomClickDistribution:
         d = custom_click_distribution(PhotonSource.custom(pmf / pmf.sum()), prof)
         direct = poisson_click_distribution(2.0, prof)
         assert d.p_click == pytest.approx(direct.p_click, abs=1e-9)
+
+    def test_dropped_mass_reported(self, ref_params):
+        # The renormalised pmf stays; the mass beyond n_max is reported.
+        prof = channel_transmissions(ref_params, 15)
+        kept = sum(poisson_pmf(50.0, n) for n in range(11))  # 6.5e-12
+        d = custom_click_distribution(PhotonSource.poissonian(50.0), prof, n_max=10)
+        assert 1.0 - d.dropped_mass == pytest.approx(kept, rel=1e-3)
+        d = custom_click_distribution(PhotonSource.poissonian(4.26), prof, n_max=20)
+        tail = 1.0 - sum(poisson_pmf(4.26, n) for n in range(21))
+        assert d.dropped_mass == pytest.approx(tail, rel=1e-6)
+        assert d.dropped_mass == pytest.approx(5.6e-9, rel=0.01)
+        for mu in (0.5, 4.26, 50.0):
+            d = custom_click_distribution(PhotonSource.poissonian(mu), prof)
+            assert 0.0 <= d.dropped_mass < 1e-9
+        assert poisson_click_distribution(1.0, prof).dropped_mass == 0.0
 
     def test_binary_mixture(self):
         prof = profile(0.35, 0.25)  # T = 0.6

@@ -1,6 +1,7 @@
 """Heralded postselection: acceptance rules, conditioning, and the
 multi-photon reduction factor."""
 
+import importlib
 import math
 
 import numpy as np
@@ -159,6 +160,43 @@ class TestPostselect:
         override = postselect(src, prof, acceptance=accept)
         assert override.w_M == pytest.approx(base.w_M, rel=1e-12)
 
+    @pytest.mark.parametrize("bad", [math.nan, 1.5, -0.1, math.inf])
+    def test_invalid_acceptance_table_rejected(self, ref_params, bad):
+        # A NaN table once gave NaN results, 1.5 a herald rate of 1.5 and a
+        # negative entry a misleading NoAcceptanceError.
+        prof = channel_transmissions(ref_params, 15)
+        table = acceptance_probability("exactly-one", np.arange(60), prof)
+        table[3] = bad
+        with pytest.raises(ParameterError, match=r"\[0, 1\]"):
+            postselect(PhotonSource.poissonian(1.0), prof, acceptance=table)
+        with pytest.raises(ParameterError, match=r"\[0, 1\]"):
+            wm_curve([0.5, 1.0], prof, acceptance=table)
+        with pytest.raises(ParameterError, match=r"\[0, 1\]"):
+            postselect(PhotonSource.poissonian(1.0), prof, acceptance=np.full(60, bad))
+        with pytest.raises(ParameterError, match=r"\[0, 1\]"):
+            postselect(PhotonSource.poissonian(1.0), prof, acceptance=0.5)
+
+    def test_table_checked_once_per_grid(self, ref_params, monkeypatch):
+        ps = importlib.import_module("loopdet.postselect")
+        prof = channel_transmissions(ref_params, 15)
+        table = acceptance_probability("exactly-one", np.arange(60), prof)
+        calls = []
+        check = ps._checked_table
+        monkeypatch.setattr(ps, "_checked_table", lambda t: calls.append(1) or check(t))
+        assert len(wm_curve(np.linspace(0.5, 5.0, 10), prof, acceptance=table)) == 10
+        assert len(calls) == 1
+
+    def test_dropped_mass_reported(self, ref_params):
+        prof = channel_transmissions(ref_params, 15)
+        res = postselect(PhotonSource.poissonian(50.0), prof, n_max=10)
+        assert res.dropped_mass == pytest.approx(1.0 - 6.5e-12, abs=1e-13)
+        # The herald_mc cut-off at mu = 4.26 drops about 5.6e-9.
+        res = postselect(PhotonSource.poissonian(4.26), prof, n_max=20)
+        assert res.dropped_mass == pytest.approx(5.644e-9, rel=1e-3)
+        for mu in (0.5, 4.26, 50.0):
+            res = postselect(PhotonSource.poissonian(mu), prof)
+            assert 0.0 <= res.dropped_mass < 1e-9
+
     def test_thinning_matches_binomial_sum(self, rng):
         pmf = rng.dirichlet(np.ones(25))
         for t in (0.05, 0.5, 0.93):
@@ -284,6 +322,27 @@ class TestWmCurve:
         for mu in (0.5, 2.0):
             with pytest.raises(ParameterError, match="too short"):
                 wm_curve([mu], prof, acceptance=short)
+
+    @pytest.mark.parametrize("rule", ACCEPT_RULES)
+    @pytest.mark.parametrize("transmission", [1.0, 0.8])
+    def test_rows_equal_per_mu_postselect_bit_for_bit(self, ref_params, rule,
+                                                      transmission):
+        # One acceptance vector for the grid, sliced per mu, gives the same
+        # bits as evaluating the rule at each mu; mu = 0 is a NaN row, and the
+        # largest cut-off comes last.
+        prof = channel_transmissions(ref_params, 15)
+        grid = [0.0, 0.5, 2.13, 1.0, 4.26, 5.05]
+        rows = wm_curve(grid, prof, rule=rule, signal_transmission=transmission)
+        keys = ("cm_in", "cm_out", "w_M", "herald_rate")
+        for mu, row in zip(grid, rows):
+            try:
+                res = postselect(PhotonSource.poissonian(mu), prof, rule=rule,
+                                 signal_transmission=transmission)
+                expected = [getattr(res, k) for k in keys]
+            except NoAcceptanceError:
+                expected = [math.nan] * 4
+            got = np.array([row[k] for k in keys])
+            assert got.tobytes() == np.array(expected).tobytes()
 
     def test_monotone_in_mu_for_lossless(self):
         # Stronger pumping leaves more residual multi-photon content.
