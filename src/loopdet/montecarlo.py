@@ -10,12 +10,12 @@ appear uniformly over the acquisition window, and every registered click
 may trigger at most one afterpulse at an exponentially distributed delay
 (suppressed while the detector is dead), its flag and delay from one variate.
 
-Pulses without noise candidates register every channel click.  For the
-others, each flagged candidate's afterpulse time is known before any click
-registers, so candidates and afterpulses are sorted once by (pulse, time),
-a candidate before an afterpulse at the same time, and swept in array
-passes, one event per pulse per pass.  An afterpulse needs its candidate to
-have registered.
+Pulses without noise candidates register every channel click.  The other
+pulses' candidates and afterpulses are sorted once by (pulse, time), a
+candidate before an afterpulse at the same time, and swept in array passes,
+one event per pulse per pass; an afterpulse needs its candidate.  A block
+hands both sets to a reducer where it is simulated: run_simulation's sorts
+the events once by pulse, and the herald table's only counts pulses.
 
 Reproducibility contract: trials are processed in fixed-size batches and
 batch b draws from PCG64 child b of the seed's SeedSequence, so results are
@@ -202,12 +202,15 @@ def _resolve_flagged(pulse, time, origin, ap_flag, ap_delay, dead_time: float):
     return tuple(a[registered[:size]] for a in (pulse, time, origin))
 
 
-def _simulate_block(source: PhotonSource, params: DeviceParams,
+def _simulate_block(reduce, source: PhotonSource, params: DeviceParams,
                     settings: SimSettings, seed: int, first_batch: int,
                     sizes: list[int]):
     """Batches first_batch, first_batch + 1, ... of ``sizes`` pulses in lock
     step: each makes its own stream's draws in order, all else runs once over
-    the block, whose pulse b * BATCH_SIZE + i is batch b's pulse i."""
+    the block, whose pulse b * BATCH_SIZE + i is batch b's pulse i.  Returns
+    ``reduce(params, settings, first_batch, n_photons, fast, resolved)``, the
+    (pulse, time, origin) of the clicks of pulses without noise candidates,
+    channel-major, and of the other pulses' registered clicks, by (pulse, time)."""
     rngs = [_batch_rng(seed, first_batch + b) for b in range(len(sizes))]
     edges = BATCH_SIZE * np.arange(len(sizes) + 1, dtype=np.int32)
 
@@ -223,10 +226,6 @@ def _simulate_block(source: PhotonSource, params: DeviceParams,
     index = np.arange(n_photons.size, dtype=np.int32)
     ph_pulse, ph_channel = _route_photons(params, fill, np.repeat(index, n_photons),
                                           settings.max_channels)
-
-    # Passes come out in channel order, so this sorts by (pulse, channel).
-    order = np.argsort(ph_pulse, kind="stable")
-    ph_pulse, ph_channel = ph_pulse[order], ph_channel[order]
     ph_time = settings.time_offset_ns + (ph_channel - 1) * params.loop_delay_ns
 
     # Dark counts: per-bin probability, uniform over the acquisition window
@@ -236,36 +235,38 @@ def _simulate_block(source: PhotonSource, params: DeviceParams,
     dk_pulse = np.repeat(index, dark_counts)
     dk_time = settings.n_bins * params.bin_width_ns * fill(dk_pulse)
 
-    # Afterpulse flag u < p_ap per candidate click; given the flag u / p_ap
-    # is uniform and inverts to the delay.  Unflagged rows keep u, unread.
+    # Afterpulse flag u < p_ap per candidate click, in (pulse, channel) order,
+    # which needs only the sorted pulses; given the flag, u / p_ap is uniform.
     p_ap, tau = params.afterpulse_prob, params.afterpulse_decay_ns
-    ph_ap_delay, dk_ap_delay = fill(ph_pulse), fill(dk_pulse)
-    ph_ap_flag, dk_ap_flag = ph_ap_delay < p_ap, dk_ap_delay < p_ap
-    for u, flag in ((ph_ap_delay, ph_ap_flag), (dk_ap_delay, dk_ap_flag)):
-        u[flag] = -tau * np.log1p(-u[flag] / p_ap)
+    by_pulse = np.sort(ph_pulse)
+    ph_u, dk_u = fill(by_pulse), fill(dk_pulse)
 
     # Fast path: pulses with neither dark counts nor afterpulse candidates.
     # Same-pulse photon clicks sit one loop delay apart, and the loop delay
     # exceeds the dead time by construction, so they all register.
     flagged = np.zeros(index.size, dtype=bool)
     flagged[dk_pulse] = True
-    flagged[np.compress(ph_ap_flag, ph_pulse)] = True
-
+    flagged[np.compress(ph_u < p_ap, by_pulse)] = True
     slow = flagged[ph_pulse]
-    fast = ~slow
-    pulse, time, origin = ph_pulse[fast], ph_time[fast], ph_channel[fast]
-    if flagged.any():
-        dk_origin = np.full(dk_pulse.size, ORIGIN_DARK, dtype=np.int32)
-        cand = [np.concatenate((np.compress(slow, ph), dk)) for ph, dk in (
-            (ph_pulse, dk_pulse), (ph_time, dk_time), (ph_channel, dk_origin),
-            (ph_ap_flag, dk_ap_flag), (ph_ap_delay, dk_ap_delay))]
-        resolved = _resolve_flagged(*cand, params.dead_time_ns)
-        pulse, time, origin = (np.concatenate(pair) for pair in zip(
-            (pulse, time, origin), resolved))
+    fast, cand = ([np.compress(m, a) for a in (ph_pulse, ph_time, ph_channel)]
+                  for m in (~slow, slow))
 
-    # Fast and flagged pulses are disjoint, and each pulse's rows are in
-    # strictly increasing time, so a stable sort by pulse alone gives the
-    # (pulse, time, origin) order.
+    # Candidates: the flagged pulses' clicks in (pulse, channel) order, as
+    # their u were drawn, then the dark counts.
+    order = np.argsort(cand[0], kind="stable")
+    dark = (dk_pulse, dk_time, np.full(dk_pulse.size, ORIGIN_DARK, np.int32))
+    u = np.concatenate((np.compress(flagged[by_pulse], ph_u), dk_u))
+    ap_flag = u < p_ap
+    u[ap_flag] = -tau * np.log1p(-u[ap_flag] / p_ap)  # inverted to the delay
+    resolved = _resolve_flagged(*(np.concatenate((a[order], d)) for a, d in zip(cand, dark)),
+                                ap_flag, u, params.dead_time_ns)
+    return reduce(params, settings, first_batch, n_photons, fast, resolved)
+
+
+def _keep_events(params, settings, first_batch, n_photons, fast, resolved):
+    """``run_simulation``'s reducer.  Fast and flagged pulses are disjoint and
+    each pulse's rows rise in time, so a stable sort by pulse gives the order."""
+    pulse, time, origin = (np.concatenate(pair) for pair in zip(fast, resolved))
     order = np.argsort(pulse, kind="stable")
     return (np.add(pulse[order], first_batch * BATCH_SIZE, dtype=np.int64),
             time[order], origin[order], n_photons)
@@ -275,14 +276,19 @@ def _batch_worker(args):
     return _simulate_block(*args)
 
 
-def _simulations(runs, params: DeviceParams, n_trials: int, workers: int = 1,
-                 settings: SimSettings | None = None):
-    """Yield the :class:`SimulationResult` of each (source, seed) in
-    ``runs`` in turn.  The blocks of all runs form one job list, checked
-    before any runs, so ``workers`` > 1 starts a single process pool."""
-    if n_trials < 1:
-        raise ParameterError("n_trials must be >= 1")
-    settings = settings or SimSettings()
+def _check_positive(value, name: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ParameterError(f"{name} must be an integer >= 1, got {value!r}")
+
+
+def _reduced_runs(runs, params: DeviceParams, n_trials: int, workers: int,
+                  settings: SimSettings, reduce):
+    """Yield the list of ``reduce``'s results over the blocks of each
+    (source, seed) in ``runs`` in turn.  The blocks of all runs form one job
+    list, checked before any runs, so ``workers`` > 1 starts a single
+    process pool, and a worker returns only what ``reduce`` keeps."""
+    _check_positive(n_trials, "n_trials")
+    _check_positive(workers, "workers")
     n_batches = (n_trials + BATCH_SIZE - 1) // BATCH_SIZE
     sizes = [min(BATCH_SIZE, n_trials - b * BATCH_SIZE) for b in range(n_batches)]
     if not all(isinstance(seed, (int, np.integer)) and seed >= 0 for _, seed in runs):
@@ -291,7 +297,7 @@ def _simulations(runs, params: DeviceParams, n_trials: int, workers: int = 1,
     # one batch.  Raises DomainError above MAX_PHOTONS, before any run.
     means = [s.pmf_array() @ np.arange(s.n_max + 1) for s, _ in runs]
     per_block = [max(1, int(_BLOCK_ROWS // (BATCH_SIZE * (1 + m)))) for m in means]
-    jobs = [(source, params, settings, seed, b, sizes[b:b + per])
+    jobs = [(reduce, source, params, settings, seed, b, sizes[b:b + per])
             for (source, seed), per in zip(runs, per_block)
             for b in range(0, n_batches, per)]
     with ExitStack() as stack:
@@ -300,14 +306,8 @@ def _simulations(runs, params: DeviceParams, n_trials: int, workers: int = 1,
             from concurrent.futures import ProcessPoolExecutor
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
             blocks = pool.map(_batch_worker, jobs, chunksize=1)
-        for (_, seed), per in zip(runs, per_block):
-            parts = list(zip(*islice(blocks, -(-n_batches // per))))
-            # One column at a time, freeing its parts before the next.
-            pulse, time, origin, n_photons = (np.concatenate(parts.pop(0))
-                                              for _ in range(4))
-            yield SimulationResult(params=params, settings=settings, seed=seed,
-                                   n_trials=n_trials, pulse=pulse, time_ns=time,
-                                   origin=origin, n_photons=n_photons)
+        for per in per_block:
+            yield list(islice(blocks, -(-n_batches // per)))
 
 
 def run_simulation(source: PhotonSource, params: DeviceParams,
@@ -315,8 +315,14 @@ def run_simulation(source: PhotonSource, params: DeviceParams,
                    settings: SimSettings | None = None) -> SimulationResult:
     """Simulate ``n_trials`` pulses; deterministic for a given seed and
     settings, independent of ``workers``."""
-    result, = _simulations([(source, seed)], params, n_trials, workers, settings)
-    return result
+    settings = settings or SimSettings()
+    parts, = (list(zip(*blocks)) for blocks in _reduced_runs(
+        [(source, seed)], params, n_trials, workers, settings, _keep_events))
+    # One column at a time, freeing its parts before the next.
+    pulse, time, origin, n_photons = (np.concatenate(parts.pop(0)) for _ in range(4))
+    return SimulationResult(params=params, settings=settings, seed=seed,
+                            n_trials=n_trials, pulse=pulse, time_ns=time,
+                            origin=origin, n_photons=n_photons)
 
 
 def accumulate_histogram(result: SimulationResult) -> TofHistogram:
@@ -362,22 +368,39 @@ def window_clicks(result: SimulationResult,
 
     A click counts for channel k <= n_channels when it falls within the
     window of width q * loop_delay centered on that channel's arrival time,
-    so noise clicks can masquerade as channel detections.  ``result`` is
-    time-ordered within a pulse, so clicks sharing a window are adjacent
-    and count once.
+    so noise clicks can masquerade as channel detections.
     """
-    p = result.params
-    s = result.settings
+    _check_positive(n_channels, "n_channels")
+    return _window_clicks(result.params, result.settings, result.pulse, result.time_ns,
+                          n_channels)
+
+
+def _window_clicks(p: DeviceParams, s: SimSettings, pulse, time, n_channels: int):
+    """``window_clicks`` of the clicks (pulse, time), time-ordered within a
+    pulse, so that clicks sharing a window are adjacent and count once."""
     half_width = 0.5 * p.duty_factor_q * p.loop_delay_ns
-    k = (result.time_ns - s.time_offset_ns) / p.loop_delay_ns
+    k = (time - s.time_offset_ns) / p.loop_delay_ns
     np.rint(k, out=k)  # nearest channel - 1; float until the rows are kept
-    dist = k * p.loop_delay_ns + s.time_offset_ns - result.time_ns
+    dist = k * p.loop_delay_ns + s.time_offset_ns - time
     in_window = (np.abs(dist, out=dist) <= half_width) & (k >= 0) & (k < n_channels)
     del dist
-    pulse, channel = result.pulse[in_window], k[in_window].astype(np.int64) + 1
+    pulse, channel = pulse[in_window], k[in_window].astype(np.int64) + 1
     first = np.ones(pulse.size, dtype=bool)
     first[1:] = (pulse[1:] != pulse[:-1]) | (channel[1:] != channel[:-1])
     return pulse[first], channel[first]
+
+
+def _window_tally(n_channels, params, settings, first_batch, n_photons, fast, resolved):
+    """A block's counts of pulses with no window click, with exactly one, and
+    with exactly one, in channel 1: the herald's reducer.  Fast clicks sit on
+    their window centres, so only the resolved clicks go through the windows."""
+    keep = fast[2] <= n_channels
+    pulse, channel = (np.concatenate((np.compress(keep, a), w)) for a, w in zip(
+        (fast[0], fast[2]), _window_clicks(params, settings, *resolved[:2], n_channels)))
+    clicks = np.bincount(pulse, minlength=n_photons.size)
+    # A pulse has at most one window click per channel.
+    return np.array([np.count_nonzero(clicks == 0), np.count_nonzero(clicks == 1),
+                     np.count_nonzero(clicks[pulse[channel == 1]] == 1)])
 
 
 def empirical_click_distribution(result: SimulationResult,

@@ -15,12 +15,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .clickstats import PhotonSource, _check_photons, binomial_matrix
 from .device import ChannelProfile, DeviceParams
 from .errors import NoAcceptanceError, ParameterError
+from .montecarlo import SimSettings, _check_positive, _reduced_runs, _window_tally
 
 #: Supported herald accept rules.
 ACCEPT_RULES = ("exactly-one", "one-or-more", "first-channel-only")
@@ -134,25 +136,19 @@ def herald_acceptance_from_mc(params: DeviceParams, n_max: int,
 
     Used instead of the analytic Fock statistics when dark counts and
     afterpulses in the herald arm should be taken into account.  Photon
-    number n runs on seed + n; the batches of all n share one job list.
+    number n runs on seed + n; the batches of all n share one job list, and
+    each block is tallied where it is simulated.
     """
-    from .montecarlo import _simulations, window_clicks
-
     if rule not in ACCEPT_RULES:
         raise ParameterError(f"unknown accept rule {rule!r}")
-    _check_photons(n_max, f"n_max = {n_max}")  # before any run, not at n_max
-    accept = np.zeros(n_max + 1)
+    n_max = _check_photons(n_max, f"n_max = {n_max}")  # before any run, not at n_max
+    _check_positive(n_channels, "n_channels")
     runs = [(PhotonSource.fock(n), seed + n) for n in range(n_max + 1)]
-    for n, result in enumerate(_simulations(runs, params, n_trials, workers)):
-        pulse, channel = window_clicks(result, n_channels)
-        clicks = np.bincount(pulse, minlength=n_trials)
-        one = clicks == 1
-        if rule == "first-channel-only":
-            one[pulse[channel != 1]] = False
-        # one-or-more as 1 - P(0 clicks) rounds as the empirical 1 - p0 does
-        accept[n] = (1.0 - np.mean(clicks == 0) if rule == "one-or-more"
-                     else np.mean(one))
-    return accept
+    zero, one, first = np.transpose([sum(parts) for parts in _reduced_runs(
+        runs, params, n_trials, workers, SimSettings(), partial(_window_tally, n_channels))])
+    # one-or-more as 1 - P(0 clicks) rounds as the empirical 1 - p0 does
+    return {"exactly-one": one / n_trials, "one-or-more": 1.0 - zero / n_trials,
+            "first-channel-only": first / n_trials}[rule]
 
 
 def wm_curve(mu_grid, herald_profile: ChannelProfile,

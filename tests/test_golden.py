@@ -27,7 +27,7 @@ from loopdet import (
 )
 from loopdet.cli import main
 import loopdet.montecarlo as mc
-from loopdet.montecarlo import BATCH_SIZE, empirical_click_distribution
+from loopdet.montecarlo import BATCH_SIZE, empirical_click_distribution, window_clicks
 from loopdet.postselect import herald_acceptance_from_mc
 
 #: Three batches: one block by default, so test_block_grouping_bytes runs
@@ -71,6 +71,8 @@ HERALD_DIGESTS = {
         "2d2b276f140d8f3c8b1811fac9f35bca9d25e3769ae175d75161d2df9424dc2e",
     "one-or-more":
         "d0bf5320ecab6819ae5ba4d4da9d3c884816d035bfb85ebfde06be67f622d74a",
+    "first-channel-only":
+        "22f511dcd9fa713b4d571b5bbd5a7ac883cb67db791d5bebb2bb44592f306934",
 }
 
 #: A dead time shorter than the accepted window (5 ns < q * 60 = 10.2 ns),
@@ -193,6 +195,37 @@ def test_herald_table_bytes(rule):
     # workers=2 sends the seven one-batch runs through one process pool.
     for workers in (1, 2):
         assert herald_digest(rule, workers) == HERALD_DIGESTS[rule]
+
+
+def herald_from_runs(device, n_channels: int) -> dict:
+    """The herald table of each rule as built from whole runs: run n = 0..6
+    on seed 29 + n, its window clicks, and the rule's share of pulses."""
+    tables = {"exactly-one": [], "one-or-more": [], "first-channel-only": []}
+    for n in range(7):
+        res = run_simulation(PhotonSource.fock(n), device, 2000, 29 + n)
+        pulse, channel = window_clicks(res, n_channels)
+        clicks = np.bincount(pulse, minlength=res.n_trials)
+        one = clicks == 1
+        tables["exactly-one"].append(np.mean(one))
+        tables["one-or-more"].append(1.0 - np.mean(clicks == 0))
+        one[pulse[channel != 1]] = False
+        tables["first-channel-only"].append(np.mean(one))
+    return {rule: np.array(table) for rule, table in tables.items()}
+
+
+@pytest.mark.parametrize("device,n_channels", [
+    (DEVICES["noisy"], 4), (DUPLICATE_WINDOW_DEVICE, 3),
+    (AFTERPULSE_DEVICES["pending"], 15), (AFTERPULSE_DEVICES["registering"], 15)],
+    ids=["noisy", "duplicate-window", "pending", "registering"])
+def test_herald_tally_matches_runs(device, n_channels):
+    # The herald tallies each block without its events, counting the clicks
+    # of noise-free pulses as sitting on their window centres; 3 and 4
+    # channels cut some of those clicks.  The afterpulse devices (p_ap = 1)
+    # flag every pulse that clicks.
+    for rule, expected in herald_from_runs(device, n_channels).items():
+        for workers in (1, 2):
+            assert np.array_equal(herald_acceptance_from_mc(
+                device, 6, rule, 2000, 29, n_channels, workers), expected)
 
 
 def duplicate_window_pins():

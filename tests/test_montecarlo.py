@@ -24,7 +24,7 @@ from loopdet import (
 )
 from loopdet.clickstats import MAX_PHOTONS
 from loopdet.montecarlo import (BATCH_SIZE, ORIGIN_AFTERPULSE, ORIGIN_DARK,
-                                _batch_rng, _resolve_flagged)
+                                _batch_rng, _resolve_flagged, window_clicks)
 from loopdet.postselect import herald_acceptance_from_mc
 from loopdet.errors import DomainError, ParameterError
 
@@ -339,6 +339,41 @@ class TestInterfaces:
             run_simulation(PhotonSource.poissonian(1.0), ref_params, 10, seed=-1)
         with pytest.raises(ParameterError):
             SimSettings(n_bins=0)
+
+    @pytest.mark.parametrize("n_trials", [0, -1, 100.0, True, "100"])
+    def test_trials_must_be_a_positive_integer(self, ref_params, n_trials):
+        # A float used to raise a bare TypeError, and True ran one trial.
+        source = PhotonSource.poissonian(1.0)
+        with pytest.raises(ParameterError, match="n_trials"):
+            run_simulation(source, ref_params, n_trials, seed=1)
+        with pytest.raises(ParameterError, match="n_trials"):
+            herald_acceptance_from_mc(ref_params, 2, "exactly-one", n_trials, 1)
+
+    @pytest.mark.parametrize("workers", [0, -1, 2.0])
+    def test_workers_must_be_a_positive_integer(self, ref_params, workers):
+        # 0 and -1 used to run serially; the CLI already refused them.
+        source = PhotonSource.poissonian(1.0)
+        with pytest.raises(ParameterError, match="workers"):
+            run_simulation(source, ref_params, 10, seed=1, workers=workers)
+        with pytest.raises(ParameterError, match="workers"):
+            herald_acceptance_from_mc(ref_params, 2, "exactly-one", 10, 1,
+                                      workers=workers)
+        # np.integer counts are integers.
+        res = run_simulation(source, ref_params, np.int64(10), seed=1,
+                             workers=np.int32(1))
+        assert res.n_photons.shape == (10,)
+
+    @pytest.mark.parametrize("n_channels", [0, -3, 1.5])
+    def test_channels_must_be_a_positive_integer(self, noisy_run, n_channels):
+        # 0 and -3 used to give an all-zero herald table or a pmf of [1.0].
+        params, result = noisy_run
+        with pytest.raises(ParameterError, match="n_channels"):
+            window_clicks(result, n_channels)
+        with pytest.raises(ParameterError, match="n_channels"):
+            empirical_click_distribution(result, n_channels)
+        with pytest.raises(ParameterError, match="n_channels"):
+            herald_acceptance_from_mc(params, 2, "exactly-one", 10, 1,
+                                      n_channels=n_channels)
 
 
 def heap_resolve_pulse(times, origins, ap_flags, ap_delays, dead_time):
