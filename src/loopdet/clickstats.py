@@ -77,13 +77,7 @@ class PhotonSource:
             if self.n <= n_max:
                 out[self.n] = 1.0
             return out
-        ns = np.arange(n_max + 1)
-        if self.mu == 0.0:
-            out = np.zeros(n_max + 1)
-            out[0] = 1.0
-            return out
-        # Stable Poisson pmf via log-space evaluation.
-        return np.exp(ns * math.log(self.mu) - self.mu - _LOG_FACT[: n_max + 1])
+        return _poisson_rows([self.mu], [n_max])[0]
 
 
 #: Largest photon number a source may reach: the Poisson cut-off, the Fock
@@ -94,6 +88,17 @@ class PhotonSource:
 MAX_PHOTONS = 1000
 #: log(n!) for n = 0..MAX_PHOTONS, built once at import (8 KB) and sliced.
 _LOG_FACT = np.array([math.lgamma(n + 1.0) for n in range(MAX_PHOTONS + 1)])
+
+
+def _poisson_rows(mus, cuts) -> np.ndarray:
+    """Poisson pmfs exp(n log mu - mu - log n!) over n = 0..max(cuts), a row
+    per mean, 0 beyond n = cuts[i] (n = 0 if mu = 0); log mu is ``math.log``'s,
+    so a row's bits do not depend on the rows beside it."""
+    ns = np.arange(max(cuts, default=0) + 1)
+    mus = np.array(mus, dtype=float)
+    log_mu = np.array([math.log(mu) if mu else 0.0 for mu in mus.tolist()])
+    log = ns * log_mu[:, None] - mus[:, None] - _LOG_FACT[: ns.size]
+    return np.exp(np.where(ns <= np.where(mus > 0.0, cuts, 0)[:, None], log, -np.inf))
 
 
 def _check_count(n, name: str) -> int:
@@ -224,8 +229,12 @@ def fock_click_distribution(n: int, profile: ChannelProfile) -> ClickDistributio
 def custom_click_distribution(source: PhotonSource,
                               profile: ChannelProfile,
                               n_max: int | None = None) -> ClickDistribution:
-    """Click pmf for an arbitrary source: Fock mixture with source weights,
-    renormalised within the cut-off; ``dropped_mass`` is the mass beyond it."""
+    """Click pmf for an arbitrary source.  A Poisson source without ``n_max``
+    takes the exact, uncut ``poisson_click_distribution``; any other source
+    or cut-off the Fock mixture ``pmf @ fock_click_matrix``, renormalised
+    within the cut-off, with ``dropped_mass`` the source mass beyond it."""
+    if source.kind == "poissonian" and n_max is None:
+        return poisson_click_distribution(source.mu, profile)
     pmf = source.pmf_array(n_max)
     out = pmf @ fock_click_matrix(pmf.size - 1, profile)
     total = out.sum()

@@ -1,39 +1,29 @@
-"""Run-configuration files: flat key=value text with INI-style sections.
-
-Grammar::
+"""Run-configuration files: flat key=value text with INI-style sections::
 
     [device]
-    t0 = 0.92
-    theta = 0.955
-    tl = 0.94
-    eta = 0.6
-    r = 0.446            # or the four couplings t13/t14/t23/t24
-    dark_prob_per_bin = 2e-7
-    afterpulse_prob = 8e-3
-    afterpulse_decay_ns = 200
-    dead_time_ns = 50
-    loop_delay_ns = 60
-    bin_width_ns = 5
-    duty_factor_q = 0.17
-
+    r = 0.446                 # or the four couplings t13/t14/t23/t24
     [source]
-    kind = poissonian    # poissonian | fock | custom
-    mu = 4.26            # for poissonian
-    n = 1                # for fock
-    pmf = 0.5, 0.5       # for custom
-
+    kind = poissonian         # poissonian (mu) | fock (n) | custom (pmf = 0.5, 0.5)
+    mu = 4.26
     [simulation]
-    seed = 1             # mandatory for Monte Carlo commands
-    n_trials = 100000
-    n_bins = 1024
-    time_offset_ns = 100
-    max_channels = 512
-    workers = 1
-
+    seed = 1                  # mandatory for Monte Carlo commands
     [output]
-    format = csv         # csv | json
-    path = out.csv
+    format = csv              # csv | json, written to path
     reference_plane = input   # input | detected
+
+One pass reads the lines (ended by LF, CR LF or CR) by this grammar.  A
+``#`` or ``;`` at the start of a line or after whitespace starts a comment
+to the end of the line, and the rest is stripped.  ``[name]`` opens section
+``name`` (case-sensitive).  ``key = value`` or ``key : value`` sets a key of
+the open section: the key runs to the first ``=`` or ``:`` and is
+lower-cased, and both sides are stripped.  A line indented deeper than the
+last key line, with no section line since, continues the key's value on a
+new line; an empty line without a comment inside a value adds an empty
+line, and trailing empty lines are dropped.  A section opened twice, a key
+set twice in its section, a key before the first section, an empty key and
+any other nonempty line are errors.  configparser (inline comments, no
+interpolation) reads the same, except that ``[DEFAULT]`` is ordinary here
+and that its comment search can skip the first prefix after whitespace.
 
 Keys are the fields they set: ``[device]`` takes those of ``DeviceParams``
 and, for the coupler, ``CouplerSetting``; ``[simulation]`` takes ``seed``,
@@ -47,7 +37,7 @@ so at load time (NaN fails every range check).
 
 from __future__ import annotations
 
-import configparser
+import re
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -113,43 +103,66 @@ _SECTIONS = {
 }
 
 
-def _values(parser, name, path) -> dict:
+_COMMENT = re.compile(r"(?:^|\s)[#;]")
+_LINE = re.compile(r"\[(?P<section>.+)\]|(?P<key>[^=:]*?)\s*[=:]\s*(?P<value>.*)")
+
+
+def _read_sections(lines, path) -> dict:
+    """{section: {key: value}} of a run file's lines, by the grammar above."""
+    sections, keys, key, indent = {}, None, None, 0
+    for number, line in enumerate(lines, 1):
+        comment = _COMMENT.search(line)
+        text = line[: comment.start() if comment else None].strip()
+        depth = len(line) - len(line.lstrip())
+        if key and (depth > indent or not text):  # a continuation or empty line
+            if text or not comment:
+                keys[key].append(text)
+            continue
+        if not text:
+            continue
+        indent, key, where, m = depth, None, f"{path}, line {number}", _LINE.fullmatch(text)
+        if m and m["section"]:
+            if m["section"] in sections:
+                raise ConfigError(f"{where}: section [{m['section']}] opened twice")
+            keys = sections[m["section"]] = {}
+        elif keys is None or not m or not m["key"]:
+            raise ConfigError(f"{where}: expected [section] or key = value, got {text!r}")
+        elif (key := m["key"].lower()) in keys:
+            raise ConfigError(f"{where}: key {key!r} set twice in its section")
+        else:
+            keys[key] = [m["value"]]
+    return {name: {k: "\n".join(v).rstrip() for k, v in section.items()}
+            for name, section in sections.items()}
+
+
+def _values(sections, name, path) -> dict:
     """Parsed values of the keys given in a [device] or [simulation] section."""
-    if not parser.has_section(name):
-        return {}
-    section = parser[name]
+    section = sections.get(name, {})
     return {key: _SECTIONS[name][key](section, key, path) for key in section}
 
 
 def load_config(path) -> RunConfig:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
-                                       interpolation=None)
     try:
         with open(path) as fh:
-            parser.read_file(fh)
+            sections = _read_sections(fh, path)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except configparser.Error as exc:
-        raise ConfigError(f"cannot parse config {path}: {exc}") from exc
-
-    if parser.defaults():
-        raise ConfigError(f"{path}: keys in [{parser.default_section}] are not accepted")
-    for section in parser.sections():
+    if sections.pop("DEFAULT", None):
+        raise ConfigError(f"{path}: keys in [DEFAULT] are not accepted")
+    for section, keys in sections.items():
         if section not in _SECTIONS:
             raise ConfigError(f"{path}: unknown section [{section}]")
-        for key in parser[section]:
+        for key in keys:
             if key not in _SECTIONS[section]:
                 raise ConfigError(f"{path}: unknown key {key!r} in [{section}]")
 
-    device = _parse_device(_values(parser, "device", path), path)
-    source = (_parse_source(parser["source"], path)
-              if parser.has_section("source") else None)
-    sim = _values(parser, "simulation", path)
+    device = _parse_device(_values(sections, "device", path), path)
+    source = _parse_source(sections["source"], path) if "source" in sections else None
+    sim = _values(sections, "simulation", path)
     cfg = RunConfig(device=device, source=source,
                     **{k: sim.pop(k) for k in _RUN_KEYS if k in sim},
                     sim=SimSettings(**sim))
-    for key, value in (parser["output"].items()
-                       if parser.has_section("output") else ()):
+    for key, value in sections.get("output", {}).items():
         name, accepted = _OUTPUT[key]
         if accepted and value not in accepted:
             raise ConfigError(f"{path}: {key} must be {' or '.join(accepted)}")

@@ -7,8 +7,8 @@ partner.  The conditioned photon-number pmf is
 
     pmf_out(n)  propto  pmf_in(n) * P(accept | n photons into herald arm)
 
-and the figure of merit is w_M = c_M(out) / c_M(in).  ``wm_curve`` evaluates
-P(accept | n) once for its whole mu grid.
+and the figure of merit is w_M = c_M(out) / c_M(in).  ``postselect`` runs one
+conditioning kernel on one pmf, ``wm_curve`` on the pmfs of its whole mu grid.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from functools import partial
 
 import numpy as np
 
-from .clickstats import PhotonSource, _check_photons, binomial_matrix
+from .clickstats import PhotonSource, _check_photons, _poisson_rows, binomial_matrix
 from .device import ChannelProfile, DeviceParams
 from .errors import NoAcceptanceError, ParameterError
 from .montecarlo import SimSettings, _check_positive, _reduced_runs, _window_tally
@@ -65,16 +65,7 @@ class PostselectResult:
 
 def _thin_pmf(pmf: np.ndarray, transmission: float) -> np.ndarray:
     """Binomial loss applied to a photon-number pmf."""
-    if transmission >= 1.0:
-        return pmf
     return pmf @ binomial_matrix(pmf.size, 1.0 - transmission, transmission)
-
-
-def _content(pmf: np.ndarray) -> float:
-    p_ge1 = float(pmf[1:].sum())
-    if p_ge1 <= 0.0:
-        return 0.0
-    return float(pmf[2:].sum()) / p_ge1
 
 
 def _checked_table(acceptance) -> np.ndarray:
@@ -83,6 +74,36 @@ def _checked_table(acceptance) -> np.ndarray:
     if accept.ndim != 1 or not np.all((accept >= 0.0) & (accept <= 1.0)):  # NaN fails
         raise ParameterError("acceptance must be a 1-d table of numbers in [0, 1]")
     return accept
+
+
+def _sums(rows, first, stop) -> np.ndarray:
+    """Sum of rows[i, first:stop[i]] per row, bit for bit as np.sum of that
+    slice: a masked reduction hands each unmasked run to numpy's pairwise
+    summation alone, so no entry beyond it, even a zero, regroups its terms."""
+    j = np.arange(rows.shape[1])
+    return np.add.reduce(rows, axis=1, where=(j >= first) & (j < stop[:, None]))
+
+
+def _condition(pmfs, sizes, accept, transmission):
+    """Pmf rows conditioned on P(accept | n): (cm_in, cm_out, w_M, herald_rate),
+    NaN where the rule never fires, and the output pmfs.  Row i is 0 from
+    n = sizes[i] on; its sums and thinning stop there, so it matches alone."""
+    if not 0.0 < transmission <= 1.0:
+        raise ParameterError("signal_transmission must lie in (0, 1]")
+    if accept.size < pmfs.shape[1]:
+        raise ParameterError(f"acceptance table too short: {accept.size} < {pmfs.shape[1]}")
+    joint = pmfs * accept[: pmfs.shape[1]]
+    rate = _sums(joint, 0, sizes)
+    fired = rate > 0.0
+    out = np.divide(joint, rate[:, None], out=np.zeros_like(joint), where=fired[:, None])
+    if transmission < 1.0:
+        for row, size in zip(out, sizes):
+            row[:size] = _thin_pmf(row[:size], transmission)
+    both, stop = np.concatenate([pmfs, out]), np.concatenate([sizes, sizes])
+    ge1, ge2 = _sums(both, 1, stop), _sums(both, 2, stop)
+    cm_in, cm_out = np.divide(ge2, ge1, out=np.zeros_like(ge1), where=ge1 > 0.0).reshape(2, -1)
+    w_M = np.divide(cm_out, cm_in, out=np.full_like(cm_in, math.nan), where=cm_in > 0.0)
+    return np.where(fired, [cm_in, cm_out, w_M, rate], math.nan), out
 
 
 def postselect(source: PhotonSource, herald_profile: ChannelProfile,
@@ -99,32 +120,13 @@ def postselect(source: PhotonSource, herald_profile: ChannelProfile,
     not a number in [0, 1] is a ParameterError.  ``dropped_mass`` reports
     the source mass beyond the cut-off ``n_max``.
     """
-    return _postselect(source, herald_profile, rule, signal_transmission, n_max,
-                       None if acceptance is None else _checked_table(acceptance))
-
-
-def _postselect(source, profile, rule, transmission, n_max, acceptance) -> PostselectResult:
-    """``postselect`` with ``acceptance`` None or an already checked table."""
-    if not 0.0 < transmission <= 1.0:
-        raise ParameterError("signal_transmission must lie in (0, 1]")
     pmf = source.pmf_array(n_max)
-    accept = (acceptance_probability(rule, np.arange(pmf.size), profile)
-              if acceptance is None else acceptance[: pmf.size])
-    if accept.size < pmf.size:
-        raise ParameterError(f"acceptance table too short: {accept.size} < {pmf.size}")
-
-    joint = pmf * accept
-    herald_rate = float(joint.sum())
-    if herald_rate <= 0.0:
+    accept = (acceptance_probability(rule, np.arange(pmf.size), herald_profile)
+              if acceptance is None else _checked_table(acceptance))
+    values, out = _condition(pmf[None], np.array([pmf.size]), accept, signal_transmission)
+    if not values[3, 0] > 0.0:
         raise NoAcceptanceError("accept rule never fires for this source")
-    conditioned = joint / herald_rate
-    output_pmf = _thin_pmf(conditioned, transmission)
-
-    cm_in = _content(pmf)
-    cm_out = _content(output_pmf)
-    w_M = cm_out / cm_in if cm_in > 0.0 else math.nan
-    return PostselectResult(cm_in=cm_in, cm_out=cm_out, w_M=w_M,
-                            herald_rate=herald_rate, conditioned_pmf=output_pmf,
+    return PostselectResult(*values[:, 0].tolist(), conditioned_pmf=out[0],
                             dropped_mass=max(1.0 - float(pmf.sum()), 0.0))
 
 
@@ -155,26 +157,17 @@ def wm_curve(mu_grid, herald_profile: ChannelProfile,
              rule: str = "exactly-one",
              signal_transmission: float = 1.0,
              acceptance=None) -> list[dict]:
-    """Postselection summary for each mu, all from one acceptance vector: the
-    rule's up to the grid's largest Poisson cut-off, or ``acceptance``, checked
-    once.  A mu at which the rule never fires (mu = 0) becomes a NaN row; any
-    other error, such as an ``acceptance`` table shorter than the Poisson
-    cut-off, propagates."""
-    if acceptance is None:
-        top = max((PhotonSource.poissonian(mu).n_max for mu in mu_grid), default=0)
-        acceptance = acceptance_probability(rule, np.arange(top + 1), herald_profile)
-    else:
-        acceptance = _checked_table(acceptance)
-    rows = []
-    for mu in mu_grid:
-        row = {"mu": float(mu)}
-        try:
-            res = _postselect(PhotonSource.poissonian(mu), herald_profile, rule,
-                              signal_transmission, None, acceptance)
-            row.update(cm_in=res.cm_in, cm_out=res.cm_out, w_M=res.w_M,
-                       herald_rate=res.herald_rate)
-        except NoAcceptanceError:
-            row.update(cm_in=math.nan, cm_out=math.nan, w_M=math.nan,
-                       herald_rate=math.nan)
-        rows.append(row)
-    return rows
+    """Postselection summary for each mu: one pass of ``postselect``'s kernel
+    over the Poisson pmfs, each to its own cut-off, with the rule's acceptance
+    to the largest cut-off or ``acceptance``, checked once; each row has the
+    bits ``postselect`` gives at its mu.  A mu at which the rule never fires
+    (mu = 0) is a NaN row; any other error, such as a short table, propagates."""
+    sources = [PhotonSource.poissonian(mu) for mu in mu_grid]
+    cuts = np.array([source.n_max for source in sources], dtype=int)
+    pmfs = _poisson_rows([source.mu for source in sources], cuts)
+    accept = (acceptance_probability(rule, np.arange(pmfs.shape[1]), herald_profile)
+              if acceptance is None else _checked_table(acceptance))
+    values, _ = _condition(pmfs, cuts + 1, accept, signal_transmission)
+    keys = ("cm_in", "cm_out", "w_M", "herald_rate")
+    return [{"mu": source.mu, **dict(zip(keys, row))}
+            for source, row in zip(sources, values.T.tolist())]

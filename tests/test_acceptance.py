@@ -27,10 +27,10 @@ from loopdet import (
     accumulate_histogram,
     calibrate_from_channels,
     channel_transmissions,
-    custom_click_distribution,
     empirical_click_distribution,
     false_cm_bound,
     fock_click_distribution,
+    fock_click_matrix,
     infer_t0,
     infer_tl,
     multi_photon_content,
@@ -215,8 +215,8 @@ def test_criterion_07_oracle_equivalence(report, quiet_runs):
     profile = channel_transmissions(params, 15)
     for mu in (0.1, 2.13, 4.26):
         direct = poisson_click_distribution(mu, profile).p_click
-        mixed = custom_click_distribution(PhotonSource.poissonian(mu),
-                                          profile).p_click
+        pmf = PhotonSource.poissonian(mu).pmf_array()
+        mixed = pmf @ fock_click_matrix(pmf.size - 1, profile)
         ok &= np.max(np.abs(direct - mixed)) < 1e-9
 
     # Monte Carlo vs analytic within 3 binomial sigma at 1e6 trials.

@@ -145,6 +145,19 @@ class TestConfigFiles:
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(p)
 
+    @pytest.mark.parametrize("content", [None, b"[device]\nt0 = \xff\n",
+                                         b"[device]\nt0 = 0.5\x00\n", b"\x00[device]\n"],
+                             ids=["directory", "undecodable", "nul-in-value", "nul-line"])
+    def test_unusable_config_file_exits_2(self, capsys, tmp_path, content):
+        p = tmp_path / "run.ini"
+        if content is None:
+            p.mkdir()
+        else:
+            p.write_bytes(content)
+        code, _, err = run(capsys, "channels", "--config", str(p))
+        assert code == EXIT_CONFIG and "config error" in err
+        assert "Traceback" not in err
+
     def test_percent_sign_is_literal(self, tmp_path):
         p = tmp_path / "run.ini"
         p.write_text("[output]\npath = run%1.csv\n")

@@ -183,9 +183,10 @@ class TestFockClickDistribution:
         # must equal the Poisson-binomial of 1 - exp(-mu h_k).
         prof = channel_transmissions(ref_params, 15).truncated(15)
         for mu in (0.5, 4.26, 20.0, 50.0):
-            got = custom_click_distribution(PhotonSource.poissonian(mu), prof)
+            pmf = PhotonSource.poissonian(mu).pmf_array()
+            got = pmf @ fock_click_matrix(pmf.size - 1, prof)
             oracle = poisson_binomial(-np.expm1(-mu * prof.h))
-            assert np.abs(got.p_click - oracle).max() <= 1e-12
+            assert np.abs(got - oracle).max() <= 1e-12
 
     def test_empty_channel(self, rng):
         # A channel with h_k = 0 never clicks: same pmf as without it.
@@ -283,8 +284,8 @@ class TestPoissonClickDistribution:
         prof = channel_transmissions(ref_params, 12)
         for mu in (0.5, 2.0):
             direct = poisson_click_distribution(mu, prof).p_click
-            mixed = custom_click_distribution(
-                PhotonSource.poissonian(mu), prof).p_click
+            pmf = PhotonSource.poissonian(mu).pmf_array()
+            mixed = pmf @ fock_click_matrix(pmf.size - 1, prof)
             assert mixed == pytest.approx(direct, abs=1e-9)
 
     def test_recursion_matches_convolution_chain(self):
@@ -344,6 +345,15 @@ class TestCustomClickDistribution:
             d = custom_click_distribution(PhotonSource.poissonian(mu), prof)
             assert 0.0 <= d.dropped_mass < 1e-9
         assert poisson_click_distribution(1.0, prof).dropped_mass == 0.0
+
+    def test_poisson_takes_the_closed_form(self, ref_params):
+        # Without n_max a Poisson source needs no cut-off and drops nothing.
+        prof = channel_transmissions(ref_params, 15)
+        for mu in (0.0, 0.5, 4.26, 50.0):
+            d = custom_click_distribution(PhotonSource.poissonian(mu), prof)
+            direct = poisson_click_distribution(mu, prof)
+            assert d.p_click.tobytes() == direct.p_click.tobytes()
+            assert d.dropped_mass == 0.0
 
     def test_binary_mixture(self):
         prof = profile(0.35, 0.25)  # T = 0.6

@@ -1,13 +1,17 @@
 """Property tests of the run-configuration parser: INI text written from the
-dataclasses loads back equal, and no malformed file escapes as anything but
-a configuration or domain error."""
+dataclasses loads back equal, the one-pass reader reads its grammar as
+configparser does, and no malformed file escapes as anything but a
+configuration or domain error."""
 
+import configparser
+import io
 from dataclasses import asdict, fields
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from loopdet import CouplerSetting, DeviceParams, SimSettings
-from loopdet.config import load_config
+from loopdet.config import _read_sections, load_config
 from loopdet.errors import ConfigError, DomainError
 
 U64 = 2 ** 64 - 1
@@ -80,14 +84,25 @@ values = st.one_of(
 ).map(str.encode) | st.binary(max_size=6)
 
 
+DELIMITERS = ["=", " = ", ":", " : ", "\t=  "]
+COMMENTS = ["", " # note", "\t; a = b", " #"]
+BLANKS = ["", "   ", "# note", "  ; note"]
+
+
 @st.composite
 def ini_files(draw) -> bytes:
-    text = b""
-    for section in draw(st.lists(st.sampled_from(sorted(KEYS)), max_size=4)):
-        text += f"[{section}]\n".encode()
-        keys = KEYS[section] + ("t_zero", "mu2", "dark", "n_bin")
+    """Files of the grammar's shapes, valid or not: repeated sections and
+    keys, [DEFAULT], keys in any case, either delimiter, comments, blank and
+    continuation lines, a key before the first section and bare words."""
+    text = b"t0 = 0.5\n" if draw(st.integers(0, 9)) == 0 else b""
+    for section in draw(st.lists(st.sampled_from(sorted(KEYS) + ["DEFAULT"]), max_size=4)):
+        text += f"[{section}]{draw(st.sampled_from(COMMENTS))}\n".encode()
+        keys = KEYS.get(section, ()) + ("t_zero", "mu2", "dark", "n_bin")
         for key in draw(st.lists(st.sampled_from(keys), max_size=6)):
-            text += key.encode() + b" = " + draw(values) + b"\n"
+            key = draw(st.sampled_from([key, key.upper(), key.title()]))
+            text += (key + draw(st.sampled_from(DELIMITERS))).encode() + draw(values)
+            text += draw(st.sampled_from(COMMENTS)).encode() + b"\n"
+            text += draw(st.sampled_from(BLANKS + ["    0.5", "bogus"])).encode() + b"\n"
     return text
 
 
@@ -100,3 +115,61 @@ def test_malformed_files_fail_cleanly(tmp_path_factory, data):
         load_config(path)
     except (ConfigError, DomainError):
         pass
+
+
+NAME = st.text("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_",
+               min_size=1, max_size=6)
+#: Values hold no comment prefix, so the two readers' inline-comment rules
+#: cannot differ on them.
+VALUE = st.text("abcXYZ0123456789_ .,+-%()/=:[]", max_size=10)
+
+
+@st.composite
+def grammar_texts(draw) -> str:
+    """Run-file text in the documented grammar: distinct sections, an empty
+    [DEFAULT] anywhere, distinct keys in any case, = or : with any spacing,
+    comments, blank lines, and continuation lines indented under their key."""
+    lines = draw(st.lists(st.sampled_from(BLANKS), max_size=2))
+    names = draw(st.lists(NAME.filter(lambda n: n != "DEFAULT"), unique=True, max_size=4))
+    if draw(st.booleans()):
+        names.insert(draw(st.integers(0, len(names))), "DEFAULT")
+    for name in names:
+        lines.append(f"[{name}]{draw(st.sampled_from(COMMENTS))}")
+        keys = [] if name == "DEFAULT" else draw(st.lists(NAME, unique_by=str.lower, max_size=4))
+        for key in keys:
+            lines.append(key + draw(st.sampled_from(DELIMITERS)) + draw(VALUE)
+                         + draw(st.sampled_from(COMMENTS)))
+            for _ in range(draw(st.integers(0, 3))):
+                indent = draw(st.sampled_from(["", "  ", "\t"]))
+                lines.append(indent + draw(VALUE) if indent else draw(st.sampled_from(BLANKS)))
+    return "\n".join(lines) + "\n"
+
+
+def configparser_sections(text) -> dict:
+    reference = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                          interpolation=None)
+    reference.read_string(text)
+    assert reference.defaults() == {}
+    return {name: dict(reference[name]) for name in reference.sections()}
+
+
+@settings(max_examples=100, deadline=None)
+@given(grammar_texts())
+def test_reader_matches_configparser(text):
+    sections = _read_sections(io.StringIO(text), "run.ini")
+    assert sections.pop("DEFAULT", {}) == {}
+    assert sections == configparser_sections(text)
+
+
+@pytest.mark.parametrize("text", [
+    "[device]\n[device]\n",           # a section twice
+    "[device]\nt0 = 1\nT0 : 2\n",     # a key twice, in another case
+    "t0 = 1\n[device]\n",             # a key before the first section
+    "[device]\nt0\n",                 # a line without a delimiter
+    "[device]\n = 1\n",               # an empty key
+])
+def test_reader_and_configparser_both_reject(text):
+    with pytest.raises(configparser.Error):
+        configparser_sections(text)
+    with pytest.raises(ConfigError):
+        _read_sections(io.StringIO(text), "run.ini")

@@ -22,6 +22,7 @@ from loopdet.clickstats import MAX_PHOTONS, fock_click_matrix
 from loopdet import reference_device
 from loopdet.postselect import (
     ACCEPT_RULES,
+    _sums,
     _thin_pmf,
     acceptance_probability,
     herald_acceptance_from_mc,
@@ -343,6 +344,35 @@ class TestWmCurve:
                 expected = [math.nan] * 4
             got = np.array([row[k] for k in keys])
             assert got.tobytes() == np.array(expected).tobytes()
+
+    @pytest.mark.parametrize("rule", ACCEPT_RULES)
+    @pytest.mark.parametrize("transmission", [1.0, 0.8])
+    def test_rows_equal_the_per_mu_sums(self, ref_params, rule, transmission):
+        # Reference: each mu on its own, every sum an np.sum of the slice of
+        # its own support; mu = 45 and 130 give rows of more than 128 terms.
+        prof = channel_transmissions(ref_params, 15)
+        grid = [0.5, 2.13, 45.0, 4.26, 130.0, 1e-300]
+        rows = wm_curve(grid, prof, rule=rule, signal_transmission=transmission)
+        for mu, row in zip(grid, rows):
+            pmf = PhotonSource.poissonian(mu).pmf_array()
+            joint = pmf * acceptance_probability(rule, np.arange(pmf.size), prof)
+            rate = joint.sum()
+            out = joint / rate if transmission == 1.0 else _thin_pmf(joint / rate, transmission)
+            cm_in, cm_out = (p[2:].sum() / p[1:].sum() if p[1:].sum() > 0 else 0.0
+                             for p in (pmf, out))
+            expected = np.array([cm_in, cm_out, cm_out / cm_in if cm_in > 0 else math.nan, rate])
+            got = np.array([row[k] for k in ("cm_in", "cm_out", "w_M", "herald_rate")])
+            assert got.tobytes() == expected.tobytes()
+
+    def test_masked_sums_match_np_sum(self, rng):
+        # The kernel's sums must group terms as np.sum of each slice does,
+        # whatever lies beyond it, including runs longer than 128.
+        for width in (1, 7, 49, 129, 300, 1001):
+            rows = rng.random((6, width)) * 10.0 ** rng.uniform(-20, 0, (6, width))
+            stop = rng.integers(0, width + 1, 6)
+            for first in (0, 1, 2):
+                expected = [row[first:n].sum() for row, n in zip(rows, stop)]
+                assert _sums(rows, first, stop).tobytes() == np.array(expected).tobytes()
 
     def test_monotone_in_mu_for_lossless(self):
         # Stronger pumping leaves more residual multi-photon content.
