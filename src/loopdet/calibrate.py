@@ -16,11 +16,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    POSITIVE,
     DataError,
     DomainError,
     InconsistentMeasurementError,
     InsufficientDataError,
     ParameterError,
+    check,
 )
 
 #: 1-indexed channels k whose ratios H_{k+1}/(H_k H_1) enter the mean.
@@ -29,8 +31,7 @@ DEFAULT_K_RANGE = (2, 6)
 
 def infer_tl(ratio_stat: float, theta: float) -> float:
     """Loop transmission from the channel-ratio statistic: (ratio+1)/(2*theta)."""
-    if theta <= 0.0:
-        raise ParameterError(f"theta must be positive, got {theta}")
+    check("theta", theta, POSITIVE)
     if ratio_stat <= -1.0:
         raise ParameterError(f"ratio statistic must exceed -1, got {ratio_stat}")
     tl_hat = (ratio_stat + 1.0) / (2.0 * theta)
@@ -76,10 +77,10 @@ def calibrate_from_channels(H,
     """Full calibration chain from measured normalized channel probabilities.
 
     ``H`` are the measured H_k (1-indexed channel k = position k+1 in the
-    list), optionally with per-channel standard errors ``sigma``; a
-    non-finite entry is a DataError.  The pairs k = 2..6 that the data hold
-    enter the mean; a pair with a nonpositive H is skipped with a warning.
-    Uncertainties are propagated linearly.
+    list), optionally with per-channel standard errors ``sigma``.  Non-finite
+    entries, a negative sigma and uncertainties that overflow are DataErrors.
+    The pairs k = 2..6 the data hold enter the mean, a pair with a nonpositive
+    H skipped with a warning.  Uncertainties are propagated linearly.
     """
     H = np.asarray(H, dtype=float)
     if sigma is None:
@@ -93,6 +94,8 @@ def calibrate_from_channels(H,
         j = bad[0]
         raise DataError(f"channel k={j + 1} is not finite: "
                         f"H_k = {float(H[j])!r}, sigma_k = {float(sigma[j])!r}")
+    if np.any(sigma < 0.0) or not 0.0 <= T_over_eta_sigma < np.inf:
+        raise DataError("uncertainties must be finite and nonnegative")
     if H.size < 3:
         raise InsufficientDataError(
             f"need at least 3 channels, got {H.size}")
@@ -107,13 +110,14 @@ def calibrate_from_channels(H,
     if k.size < 1:
         raise InsufficientDataError("no usable channel ratios in the requested range")
     Hk = H[k - 1]
-    ratios = H[k] / (Hk * H[0])
-    # Linearized variance of each ratio in its three H entries.
-    variances = ((sigma[k] / (Hk * H[0])) ** 2
-                 + (ratios / Hk * sigma[k - 1]) ** 2
-                 + (ratios / H[0] * sigma[0]) ** 2)
-    ratio_stat = float(ratios.mean())
-    ratio_sigma = float(np.sqrt(variances.sum()) / k.size)
+    with np.errstate(all="ignore"):  # a tiny H overflows: tl_hat or t0_sigma refuses it
+        ratios = H[k] / (Hk * H[0])
+        # Linearized variance of each ratio in its three H entries.
+        variances = ((sigma[k] / (Hk * H[0])) ** 2
+                     + (ratios / Hk * sigma[k - 1]) ** 2
+                     + (ratios / H[0] * sigma[0]) ** 2)
+        ratio_stat = float(ratios.mean())
+        ratio_sigma = float(np.sqrt(variances.sum()) / k.size)
     tl_hat = infer_tl(ratio_stat, theta)
     t0_hat = infer_t0(T_over_eta, tl_hat, theta)
 
@@ -122,6 +126,8 @@ def calibrate_from_channels(H,
     dt0_dT = tl_hat / denom
     dt0_dtl = -T_over_eta / denom ** 2
     t0_sigma = float(np.hypot(dt0_dT * T_over_eta_sigma, dt0_dtl * tl_sigma))
+    if not np.isfinite(t0_sigma):
+        raise DataError("the propagated uncertainties are not finite")
 
     return CalibrationResult(
         tl_hat=tl_hat,

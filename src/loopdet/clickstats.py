@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .device import ChannelProfile
-from .errors import DegenerateDeviceError, DomainError, ParameterError, UndefinedContentError
+from .errors import (COUNT, NONNEGATIVE, POSITIVE, UNIT, DegenerateDeviceError, DomainError,
+                     ParameterError, UndefinedContentError, check, check_fields, declared)
 
 
 @dataclass(frozen=True)
@@ -33,13 +34,11 @@ class PhotonSource:
 
     @classmethod
     def poissonian(cls, mu: float) -> "PhotonSource":
-        if not 0 <= mu < math.inf:
-            raise ParameterError(f"mu must be finite and >= 0, got {mu}")
-        return cls(kind="poissonian", mu=float(mu))
+        return cls(kind="poissonian", mu=float(check("mu", mu, NONNEGATIVE)))
 
     @classmethod
     def fock(cls, n: int) -> "PhotonSource":
-        return cls(kind="fock", n=_check_count(n, "n"))
+        return cls(kind="fock", n=int(check("n", n, COUNT)))
 
     @classmethod
     def custom(cls, pmf) -> "PhotonSource":
@@ -86,6 +85,8 @@ class PhotonSource:
 #: expected pulses plus photons, so 1,000 photons per pulse peak near
 #: 270 MB; the click kernel's (n+1) x (n+1) binomial matrices take 8 MB.
 MAX_PHOTONS = 1000
+#: Largest time-of-flight window in bins (a 16-bit histogram), checked as a run starts.
+MAX_BINS = 2 ** 16
 #: log(n!) for n = 0..MAX_PHOTONS, built once at import (8 KB) and sliced.
 _LOG_FACT = np.array([math.lgamma(n + 1.0) for n in range(MAX_PHOTONS + 1)])
 
@@ -101,14 +102,8 @@ def _poisson_rows(mus, cuts) -> np.ndarray:
     return np.exp(np.where(ns <= np.where(mus > 0.0, cuts, 0)[:, None], log, -np.inf))
 
 
-def _check_count(n, name: str) -> int:
-    if not (0 <= n < math.inf and int(n) == n):  # NaN and inf fail too
-        raise ParameterError(f"{name} must be a nonnegative integer, got {n}")
-    return int(n)
-
-
 def _check_photons(n_max: int, what: str) -> int:
-    n_max = _check_count(n_max, "n_max")
+    n_max = int(check("n_max", n_max, COUNT))
     if n_max > MAX_PHOTONS:
         raise DomainError(f"{what} needs photon numbers above MAX_PHOTONS = {MAX_PHOTONS}")
     return n_max
@@ -124,10 +119,11 @@ class ClickDistribution:
     """Probability of exactly m distinct channels clicking, m = 0..N."""
 
     p_click: np.ndarray
-    dropped_mass: float = 0.0  # source mass beyond the photon-number cut-off
+    dropped_mass: float = declared(UNIT, 0.0)  # source mass beyond the photon cut-off
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "p_click", np.asarray(self.p_click, dtype=float))
+        check_fields(self)
         if not np.all(self.p_click >= -1e-12):  # NaN fails too
             raise DomainError("negative or NaN click probability")
         if not abs(self.p_click.sum() - 1.0) <= 1e-9:
@@ -207,16 +203,13 @@ def fock_click_matrix(n_max: int, profile: ChannelProfile) -> np.ndarray:
     """
     size = _check_photons(n_max, f"n_max = {n_max}") + 1
     h = profile.h
-    q = 1.0 - float(h.sum())
-    if q < -1e-12:
-        raise ParameterError(f"channel transmissions sum to {1.0 - q!r} > 1")
     log_c, d = _log_binomial(size)
     moved = d > 0  # at least one photon into channel k
     G = np.zeros((size, h.size + 1))
     G[0, 0] = 1.0
     for h_k in h:
         G[:, 1:] += _binomial_terms(log_c, d, h_k, 1.0, moved) @ G[:, :-1]
-    return _binomial_terms(log_c, d, max(q, 0.0), 1.0, d >= 0) @ G
+    return _binomial_terms(log_c, d, max(1.0 - float(h.sum()), 0.0), 1.0, d >= 0) @ G
 
 
 def fock_click_distribution(n: int, profile: ChannelProfile) -> ClickDistribution:
@@ -279,4 +272,5 @@ def infer_mu(p_nonvacuum: float, total_transmission: float) -> float:
         raise ParameterError(f"p_nonvacuum must lie in [0, 1), got {p_nonvacuum}")
     if total_transmission <= 0.0:
         raise DegenerateDeviceError("total transmission must be positive")
-    return -math.log1p(-p_nonvacuum) / total_transmission
+    T = check("total_transmission", total_transmission, POSITIVE)
+    return check("mu", -math.log1p(-p_nonvacuum) / T, NONNEGATIVE)  # inf at a subnormal T

@@ -29,10 +29,10 @@ Keys are the fields they set: ``[device]`` takes those of ``DeviceParams``
 and, for the coupler, ``CouplerSetting``; ``[simulation]`` takes ``seed``,
 ``n_trials`` and ``workers`` of ``RunConfig`` and those of ``SimSettings``.
 Unknown sections or keys, and any key under ``[DEFAULT]``, are rejected.
-``int`` fields and ``[source] n`` take integer literals only, every other
-value a number.  The seed must lie in [0, 2**64) and ``workers`` must be at
-least 1; all other values are range-checked when the dataclasses are built,
-so at load time (NaN fails every range check).
+Fields of an integer domain, the run keys and ``[source] n`` take integer
+literals only, every other value a number.  The seed must lie in [0, 2**64)
+and ``workers`` must be at least 1; every other value is checked against its
+field's domain when the dataclasses are built, so at load time.
 """
 
 from __future__ import annotations
@@ -83,10 +83,9 @@ _get_float = _number(float, "a number")
 
 
 def _parsers(*classes) -> dict:
-    """Key -> parser for each field of the dataclasses.  Under postponed
-    annotations ``f.type`` is the annotation's text."""
-    return {f.name: _get_int if f.type == "int" else _get_float
-            for cls in classes for f in fields(cls)}
+    """Key -> parser per field: an integer domain takes integer literals only."""
+    return {f.name: _get_int if getattr(f.metadata.get("domain"), "integer", False)
+            else _get_float for cls in classes for f in fields(cls)}
 
 
 _COUPLER_KEYS = tuple(f.name for f in fields(CouplerSetting))

@@ -17,12 +17,12 @@ the total transmission T = h_1 + h_2 / (1 - rho).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DegenerateDeviceError, DomainError, ParameterError
+from .errors import (CHANNELS, NONNEGATIVE, POSITIVE, UNIT, DegenerateDeviceError,
+                     DomainError, ParameterError, check, check_fields, declared)
 
 #: Default channel truncation for analytic work.  The profile's remainder
 #: carries the closed-form tail beyond it, so totals stay exact.
@@ -31,11 +31,6 @@ DEFAULT_N_CHANNELS = 30
 #: Series convergence guard: the geometric tail ratio theta*tl*t24 must stay
 #: below 1 by at least this margin.
 CONVERGENCE_MARGIN = 1e-9
-
-
-def _check_unit_interval(name: str, value: float) -> None:
-    if not (0.0 <= value <= 1.0) or math.isnan(value):
-        raise ParameterError(f"{name} must lie in [0, 1], got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -51,15 +46,14 @@ class CouplerSetting:
     disagrees with the four t_ij is a ParameterError.
     """
 
-    t13: float
-    t14: float
-    t23: float
-    t24: float
+    t13: float = declared(UNIT)
+    t14: float = declared(UNIT)
+    t23: float = declared(UNIT)
+    t24: float = declared(UNIT)
     r: float | None = None  # division ratio of an ideal() coupler
 
     def __post_init__(self) -> None:
-        for name in ("t13", "t14", "t23", "t24"):
-            _check_unit_interval(name, getattr(self, name))
+        check_fields(self)
         if self.t13 + self.t14 > 1.0 or self.t23 + self.t24 > 1.0:
             raise ParameterError(
                 f"coupler creates light: t13 + t14 = {self.t13 + self.t14!r} and "
@@ -71,7 +65,7 @@ class CouplerSetting:
     @classmethod
     def ideal(cls, r: float) -> "CouplerSetting":
         """Idealized single-parameter coupler with division ratio r."""
-        _check_unit_interval("r", r)
+        check("r", r, UNIT)
         return cls(t13=r, t14=1.0 - r, t23=1.0 - r, t24=r, r=r)
 
 
@@ -84,26 +78,21 @@ class DeviceParams:
     that is the whole point of the delay line.
     """
 
-    t0: float = 0.92  # input coupling transmission
-    theta: float = 0.955  # coupler excess transmission per pass
-    tl: float = 0.94  # fiber-loop transmission per round trip
-    eta: float = 0.6  # detector quantum efficiency
+    t0: float = declared(UNIT, 0.92)  # input coupling transmission
+    theta: float = declared(UNIT, 0.955)  # coupler excess transmission per pass
+    tl: float = declared(UNIT, 0.94)  # fiber-loop transmission per round trip
+    eta: float = declared(UNIT, 0.6)  # detector quantum efficiency
     coupler: CouplerSetting = field(default_factory=lambda: CouplerSetting.ideal(0.446))
-    dark_prob_per_bin: float = 2e-7
-    afterpulse_prob: float = 8e-3
-    afterpulse_decay_ns: float = 200.0
-    dead_time_ns: float = 50.0
-    loop_delay_ns: float = 60.0
-    bin_width_ns: float = 5.0
-    duty_factor_q: float = 0.17
+    dark_prob_per_bin: float = declared(UNIT, 2e-7)
+    afterpulse_prob: float = declared(UNIT, 8e-3)
+    afterpulse_decay_ns: float = declared(POSITIVE, 200.0)
+    dead_time_ns: float = declared(POSITIVE, 50.0)
+    loop_delay_ns: float = declared(POSITIVE, 60.0)
+    bin_width_ns: float = declared(POSITIVE, 5.0)
+    duty_factor_q: float = declared(UNIT, 0.17)
 
     def __post_init__(self) -> None:
-        for name in ("t0", "theta", "tl", "eta", "dark_prob_per_bin",
-                     "afterpulse_prob", "duty_factor_q"):
-            _check_unit_interval(name, getattr(self, name))
-        for name in ("dead_time_ns", "bin_width_ns", "afterpulse_decay_ns"):
-            if not 0 < getattr(self, name) < math.inf:  # NaN fails too
-                raise ParameterError(f"{name} must be positive and finite")
+        check_fields(self)
         if not self.loop_delay_ns > self.dead_time_ns:
             raise ParameterError(
                 "loop_delay_ns must exceed dead_time_ns "
@@ -130,20 +119,21 @@ class ChannelProfile:
     """Per-channel detection transmissions h_1..h_N plus the geometric tail.
 
     ``remainder`` carries the transmission mass beyond channel N so that
-    sum(h) + remainder equals the total transmission exactly.
+    sum(h) + remainder equals the total transmission exactly, at most 1.
     """
 
     h: np.ndarray
-    remainder: float
+    remainder: float = declared(NONNEGATIVE)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "h", np.asarray(self.h, dtype=float))
+        check_fields(self)
         if self.h.ndim != 1 or self.h.size < 1:
             raise ParameterError("profile needs at least one channel")
-        if np.any(self.h < 0) or np.any(self.h > 1):
+        if not np.all((self.h >= 0.0) & (self.h <= 1.0)):  # NaN fails too
             raise ParameterError("channel transmissions must lie in [0, 1]")
-        if self.remainder < 0:
-            raise ParameterError("remainder must be nonnegative")
+        if self.total > 1.0 + 1e-12:
+            raise ParameterError(f"channel transmissions sum to {self.total!r} > 1")
 
     @property
     def n_channels(self) -> int:
@@ -179,7 +169,7 @@ def _geometric(params: DeviceParams, r=None):
         r = t13 = t24 = np.asarray(r, dtype=float)
         bad = r[~((r >= 0.0) & (r <= 1.0))]  # NaN is outside too
         if bad.size:
-            _check_unit_interval("r", float(bad[0]))
+            check("r", float(bad[0]), UNIT)
         t14 = t23 = 1.0 - r
     a = params.t0 * params.theta * params.eta
     rho = params.theta * params.tl * t24
@@ -195,6 +185,7 @@ def _geometric(params: DeviceParams, r=None):
 def _series(params: DeviceParams, n_channels: int, r=None):
     """Channels h_1..h_N (last axis) and tail h_2 * rho**(N-1) / (1 - rho)
     beyond N, of the coupler of ``params`` or at each ratio of ``r``."""
+    check("n_channels", n_channels, CHANNELS)
     h1, h2, rho = (np.asarray(x, dtype=float) for x in _geometric(params, r))
     tail = h2[..., None] * rho[..., None] ** np.arange(n_channels - 1)
     h = np.concatenate([h1[..., None], tail], axis=-1)
@@ -205,8 +196,6 @@ def channel_transmissions(params: DeviceParams,
                           n_channels: int = DEFAULT_N_CHANNELS) -> ChannelProfile:
     """Per-channel transmissions h_1..h_N and the closed-form tail
     h_2 * rho**(N-1) / (1 - rho) beyond N."""
-    if n_channels < 1:
-        raise ParameterError(f"n_channels must be >= 1, got {n_channels}")
     h, remainder = _series(params, n_channels)
     return ChannelProfile(h, float(remainder))
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 import csv
+import os
 from contextlib import ExitStack
 from dataclasses import asdict, dataclass
 from itertools import islice
@@ -38,9 +39,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .clickstats import ClickDistribution, PhotonSource
+from .clickstats import MAX_BINS, ClickDistribution, PhotonSource
 from .device import DeviceParams
-from .errors import ParameterError
+from .errors import (CHANNELS, NONNEGATIVE, POSITIVE_INT, SEED, UNIT, DomainError,
+                     ParameterError, check, check_fields, declared)
 
 ORIGIN_DARK = 0
 ORIGIN_AFTERPULSE = -1
@@ -59,15 +61,11 @@ _BLOCK_ROWS = 2 ** 17
 class SimSettings:
     """Acquisition-window settings of the simulated time-of-flight recorder."""
 
-    time_offset_ns: float = 100.0  # arrival time of channel 1
-    n_bins: int = 1024
-    max_channels: int = 512  # photons still looping beyond this are dropped
+    time_offset_ns: float = declared(NONNEGATIVE, 100.0)  # arrival time of channel 1
+    n_bins: int = declared(POSITIVE_INT, 1024)
+    max_channels: int = declared(POSITIVE_INT, 512)  # photons looping beyond it are dropped
 
-    def __post_init__(self) -> None:
-        if self.n_bins < 1 or self.max_channels < 1:
-            raise ParameterError("n_bins and max_channels must be >= 1")
-        if not self.time_offset_ns >= 0:
-            raise ParameterError("time_offset_ns must be >= 0")
+    __post_init__ = check_fields  # no rule joins these fields
 
 
 @dataclass(frozen=True)
@@ -111,6 +109,7 @@ def false_cm_bound(params: DeviceParams, p1: float) -> FalseClickBounds:
     the accepted channel windows, which cover a fraction q of the time axis;
     hence c_M^false < p_ap * q and p_M^false < p1 * p_ap * q.
     """
+    check("p1", p1, UNIT)
     cm = params.afterpulse_prob * params.duty_factor_q
     return FalseClickBounds(cm_bound=cm, pm_bound=p1 * cm)
 
@@ -226,7 +225,7 @@ def _simulate_block(reduce, source: PhotonSource, params: DeviceParams,
     index = np.arange(n_photons.size, dtype=np.int32)
     ph_pulse, ph_channel = _route_photons(params, fill, np.repeat(index, n_photons),
                                           settings.max_channels)
-    ph_time = settings.time_offset_ns + (ph_channel - 1) * params.loop_delay_ns
+    ph_time = settings.time_offset_ns + (ph_channel - 1.0) * params.loop_delay_ns
 
     # Dark counts: per-bin probability, uniform over the acquisition window
     # (rng.uniform(0, w) draws w * rng.random(), bit for bit).
@@ -276,23 +275,34 @@ def _batch_worker(args):
     return _simulate_block(*args)
 
 
-def _check_positive(value, name: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise ParameterError(f"{name} must be an integer >= 1, got {value!r}")
+def _check_times(params: DeviceParams, settings: SimSettings) -> None:
+    """At most MAX_BINS bins, and finite event times: the latest arrival or window
+    end plus 37 decay times, above any afterpulse delay -log1p(-u / p_ap) <= 53 ln 2."""
+    if settings.n_bins > MAX_BINS:
+        raise DomainError(f"n_bins = {settings.n_bins} exceeds MAX_BINS = {MAX_BINS}")
+    try:
+        latest = (max(settings.time_offset_ns + settings.max_channels * params.loop_delay_ns,
+                      settings.n_bins * params.bin_width_ns)
+                  + 37.0 * params.afterpulse_decay_ns)
+    except OverflowError:  # an int beyond every float
+        latest = np.inf
+    if not np.isfinite(latest):
+        raise ParameterError(f"event times reach {latest}: a time or bin count is too large")
 
 
 def _reduced_runs(runs, params: DeviceParams, n_trials: int, workers: int,
                   settings: SimSettings, reduce):
     """Yield the list of ``reduce``'s results over the blocks of each
     (source, seed) in ``runs`` in turn.  The blocks of all runs form one job
-    list, checked before any runs, so ``workers`` > 1 starts a single
-    process pool, and a worker returns only what ``reduce`` keeps."""
-    _check_positive(n_trials, "n_trials")
-    _check_positive(workers, "workers")
+    list, checked before any runs, so ``workers`` > 1 starts one pool of at
+    most one process per CPU and job, and a worker returns what ``reduce`` keeps."""
+    check("n_trials", n_trials, POSITIVE_INT)
+    check("workers", workers, POSITIVE_INT)
+    for _, seed in runs:
+        check("seed", seed, SEED)
+    _check_times(params, settings)
     n_batches = (n_trials + BATCH_SIZE - 1) // BATCH_SIZE
     sizes = [min(BATCH_SIZE, n_trials - b * BATCH_SIZE) for b in range(n_batches)]
-    if not all(isinstance(seed, (int, np.integer)) and seed >= 0 for _, seed in runs):
-        raise ParameterError("seed must be a nonnegative integer")
     # Batches per block: about _BLOCK_ROWS expected pulses plus photons, or
     # one batch.  Raises DomainError above MAX_PHOTONS, before any run.
     means = [s.pmf_array() @ np.arange(s.n_max + 1) for s, _ in runs]
@@ -304,7 +314,8 @@ def _reduced_runs(runs, params: DeviceParams, n_trials: int, workers: int,
         blocks = map(_batch_worker, jobs)  # lazy: one block at a time
         if workers > 1 and len(jobs) > 1:
             from concurrent.futures import ProcessPoolExecutor
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            pool = stack.enter_context(ProcessPoolExecutor(
+                max_workers=min(workers, len(jobs), os.cpu_count() or 1)))
             blocks = pool.map(_batch_worker, jobs, chunksize=1)
         for per in per_block:
             yield list(islice(blocks, -(-n_batches // per)))
@@ -333,9 +344,10 @@ def accumulate_histogram(result: SimulationResult) -> TofHistogram:
     """
     bw = result.params.bin_width_ns
     n_bins = result.settings.n_bins
-    bins = np.floor(result.time_ns / bw).astype(np.int64)
-    in_window = (bins >= 0) & (bins < n_bins)
-    counts = np.bincount(bins[in_window], minlength=n_bins)
+    with np.errstate(over="ignore"):  # a quotient beyond every float is overflow too
+        bins = result.time_ns / bw
+    in_window = (bins >= 0) & (bins < n_bins)  # before the cast, which sees no late time
+    counts = np.bincount(bins[in_window].astype(np.int64), minlength=n_bins)
     return TofHistogram(bin_width_ns=bw, counts=counts,
                         n_trials=result.n_trials,
                         overflow=int((~in_window).sum()))
@@ -370,7 +382,7 @@ def window_clicks(result: SimulationResult,
     window of width q * loop_delay centered on that channel's arrival time,
     so noise clicks can masquerade as channel detections.
     """
-    _check_positive(n_channels, "n_channels")
+    check("n_channels", n_channels, CHANNELS)
     return _window_clicks(result.params, result.settings, result.pulse, result.time_ns,
                           n_channels)
 

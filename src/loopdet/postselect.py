@@ -21,8 +21,8 @@ import numpy as np
 
 from .clickstats import PhotonSource, _check_photons, _poisson_rows, binomial_matrix
 from .device import ChannelProfile, DeviceParams
-from .errors import NoAcceptanceError, ParameterError
-from .montecarlo import SimSettings, _check_positive, _reduced_runs, _window_tally
+from .errors import CHANNELS, SEED, NoAcceptanceError, ParameterError, check
+from .montecarlo import SimSettings, _reduced_runs, _window_tally
 
 #: Supported herald accept rules.
 ACCEPT_RULES = ("exactly-one", "one-or-more", "first-channel-only")
@@ -144,7 +144,8 @@ def herald_acceptance_from_mc(params: DeviceParams, n_max: int,
     if rule not in ACCEPT_RULES:
         raise ParameterError(f"unknown accept rule {rule!r}")
     n_max = _check_photons(n_max, f"n_max = {n_max}")  # before any run, not at n_max
-    _check_positive(n_channels, "n_channels")
+    check("n_channels", n_channels, CHANNELS)
+    check("seed", seed, SEED)  # runs use seed + n, which would take True as 1
     runs = [(PhotonSource.fock(n), seed + n) for n in range(n_max + 1)]
     zero, one, first = np.transpose([sum(parts) for parts in _reduced_runs(
         runs, params, n_trials, workers, SimSettings(), partial(_window_tally, n_channels))])

@@ -1,8 +1,11 @@
 """Monte Carlo engine: agreement with the analytic model, noise behavior,
 and the reproducibility contract."""
 
+import concurrent.futures
+import dataclasses
 import heapq
 import math
+import os
 
 import numpy as np
 import pytest
@@ -22,7 +25,7 @@ from loopdet import (
     run_simulation,
     total_transmission,
 )
-from loopdet.clickstats import MAX_PHOTONS
+from loopdet.clickstats import MAX_BINS, MAX_PHOTONS
 from loopdet.montecarlo import (BATCH_SIZE, ORIGIN_AFTERPULSE, ORIGIN_DARK,
                                 _batch_rng, _resolve_flagged, window_clicks)
 from loopdet.postselect import herald_acceptance_from_mc
@@ -363,6 +366,25 @@ class TestInterfaces:
                              workers=np.int32(1))
         assert res.n_photons.shape == (10,)
 
+    @pytest.mark.parametrize("settings,error", [
+        (SimSettings(n_bins=2 ** 64), DomainError), (SimSettings(n_bins=MAX_BINS + 1), DomainError),
+        (SimSettings(max_channels=10 ** 307), ParameterError)])
+    def test_window_checked_before_any_run(self, ref_params, settings, error):
+        # n_bins = 2**64 used to end in an OverflowError from the dark-count draw.
+        with pytest.raises(error):
+            run_simulation(PhotonSource.poissonian(1.0), ref_params, 10, seed=1,
+                           settings=settings)
+
+    def test_histogram_casts_only_in_window_times(self, noisy_run):
+        params, result = noisy_run
+        times = np.array([0.0, 4.99, 5.0, 5119.9, 5120.0, 1e300, 1.7e308])
+        hist = accumulate_histogram(dataclasses.replace(result, time_ns=times))
+        assert (hist.counts[0], hist.counts[1], hist.counts[-1], hist.overflow) == (2, 1, 1, 3)
+        assert hist.counts.sum() == 4
+        tiny = dataclasses.replace(result, time_ns=times,
+                                   params=dataclasses.replace(params, bin_width_ns=5e-324))
+        assert accumulate_histogram(tiny).overflow == 6  # every quotient but 0 overflows
+
     @pytest.mark.parametrize("n_channels", [0, -3, 1.5])
     def test_channels_must_be_a_positive_integer(self, noisy_run, n_channels):
         # 0 and -3 used to give an all-zero herald table or a pmf of [1.0].
@@ -534,3 +556,46 @@ class TestPhotonCeiling:
         res = run_simulation(PhotonSource.fock(MAX_PHOTONS), ref_params, 2,
                              seed=1)
         assert res.n_photons.tolist() == [MAX_PHOTONS] * 2
+
+
+class TestPoolBound:
+    """A run starts at most one process per CPU and per job, however many
+    workers it asks for.  The pool is patched, so no process starts."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize=1):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        return started
+
+    @pytest.mark.parametrize("cpus,expected", [(64, 4), (3, 3), (None, 1)])
+    def test_herald(self, ref_params, monkeypatch, pools, cpus, expected):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        table = herald_acceptance_from_mc(ref_params, 3, "exactly-one", 50, 9,
+                                          workers=100_000)
+        assert pools == [expected]
+        assert np.array_equal(table, herald_acceptance_from_mc(ref_params, 3, "exactly-one",
+                                                               50, 9))
+
+    def test_cli_workers(self, monkeypatch, pools, tmp_path):
+        from loopdet.cli import main
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        argv = ["simulate-tof", "--seed", "4", "--mu", "1", "--trials", str(9 * BATCH_SIZE)]
+        for workers, out in (("100000", "many.csv"), ("1", "one.csv")):
+            assert main([*argv, "--workers", workers, "--out", str(tmp_path / out)]) == 0
+        assert pools == [2]  # nine batches in two blocks
+        assert (tmp_path / "many.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
