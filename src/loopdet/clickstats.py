@@ -87,6 +87,9 @@ class PhotonSource:
 MAX_PHOTONS = 1000
 #: Largest time-of-flight window in bins (a 16-bit histogram), checked as a run starts.
 MAX_BINS = 2 ** 16
+#: Largest Monte Carlo run in pulses: 524,288 batches of 8,192, checked before
+#: the run's batch and job lists are built.
+MAX_TRIALS = 2 ** 32
 #: log(n!) for n = 0..MAX_PHOTONS, built once at import (8 KB) and sliced.
 _LOG_FACT = np.array([math.lgamma(n + 1.0) for n in range(MAX_PHOTONS + 1)])
 
@@ -187,8 +190,13 @@ def _binomial_terms(log_c, d, p: float, t: float, keep) -> np.ndarray:
 def binomial_matrix(size: int, p: float, t: float = 1.0) -> np.ndarray:
     """M[n, j] = C(n, j) p^(n-j) t^j for j <= n < size <= MAX_PHOTONS + 1, else 0."""
     size = _check_photons(size - 1, f"a binomial matrix of size {size}") + 1
+    check("p", p, UNIT)
+    check("t", t, UNIT)
     log_c, d = _log_binomial(size)
-    return _binomial_terms(log_c, d, p, t, d >= 0)
+    keep = d >= 0
+    if t == 0.0:  # t^j = 0 beyond column 0, where t^0 = 1 leaves p^n
+        keep[:, 1:], t = False, 1.0
+    return _binomial_terms(log_c, d, p, t, keep)
 
 
 def fock_click_matrix(n_max: int, profile: ChannelProfile) -> np.ndarray:

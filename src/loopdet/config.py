@@ -28,7 +28,8 @@ and that its comment search can skip the first prefix after whitespace.
 Keys are the fields they set: ``[device]`` takes those of ``DeviceParams``
 and, for the coupler, ``CouplerSetting``; ``[simulation]`` takes ``seed``,
 ``n_trials`` and ``workers`` of ``RunConfig`` and those of ``SimSettings``.
-Unknown sections or keys, and any key under ``[DEFAULT]``, are rejected.
+Unknown sections or keys, and any key under ``[DEFAULT]``, are rejected;
+``[source]`` takes ``kind`` and the one key its kind reads (``mu``, ``n`` or ``pmf``).
 Fields of an integer domain, the run keys and ``[source] n`` take integer
 literals only, every other value a number.  The seed must lie in [0, 2**64)
 and ``workers`` must be at least 1; every other value is checked against its
@@ -93,10 +94,12 @@ _RUN_KEYS = ("seed", "n_trials", "workers")
 #: [output] key -> (RunConfig field, accepted values or None for any).
 _OUTPUT = {"format": ("out_format", ("csv", "json")), "path": ("out_path", None),
            "reference_plane": ("reference_plane", ("input", "detected"))}
+#: [source] kind -> the one key besides ``kind`` that the kind reads.
+_SOURCE_KEYS = {"poissonian": "mu", "fock": "n", "custom": "pmf"}
 _SECTIONS = {
     "device": {k: p for k, p in _parsers(DeviceParams, CouplerSetting).items()
                if k != "coupler"},
-    "source": {f.name for f in fields(PhotonSource)},
+    "source": {"kind", *_SOURCE_KEYS.values()},
     "simulation": dict.fromkeys(_RUN_KEYS, _get_int) | _parsers(SimSettings),
     "output": _OUTPUT,
 }
@@ -185,20 +188,20 @@ def _parse_device(kwargs, path) -> DeviceParams:
 
 def _parse_source(section, path) -> PhotonSource:
     kind = section.get("kind", "poissonian")
+    if kind not in _SOURCE_KEYS:
+        raise ConfigError(f"{path}: unknown source kind {kind!r}")
+    key = _SOURCE_KEYS[kind]
+    for other in section:
+        if other not in ("kind", key):
+            raise ConfigError(f"{path}: a {kind} source does not read {other!r} in [source]")
+    if key not in section:
+        raise ConfigError(f"{path}: {kind} source needs {key}")
     if kind == "poissonian":
-        if "mu" not in section:
-            raise ConfigError(f"{path}: poissonian source needs mu")
         return PhotonSource.poissonian(_get_float(section, "mu", path))
     if kind == "fock":
-        if "n" not in section:
-            raise ConfigError(f"{path}: fock source needs n")
         return PhotonSource.fock(_get_int(section, "n", path))
-    if kind == "custom":
-        if "pmf" not in section:
-            raise ConfigError(f"{path}: custom source needs pmf")
-        try:
-            pmf = np.array([float(x) for x in section["pmf"].split(",")])
-        except ValueError as exc:
-            raise ConfigError(f"{path}: bad pmf list") from exc
-        return PhotonSource.custom(pmf)
-    raise ConfigError(f"{path}: unknown source kind {kind!r}")
+    try:
+        pmf = np.array([float(x) for x in section["pmf"].split(",")])
+    except ValueError as exc:
+        raise ConfigError(f"{path}: bad pmf list") from exc
+    return PhotonSource.custom(pmf)

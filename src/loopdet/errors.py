@@ -2,13 +2,14 @@
 
 Three broad classes map onto CLI exit codes: configuration problems,
 physical/model domain violations, and bad or insufficient input data.
+A domain is a plain predicate on one value, NaN failing every bound, and
+``check_fields`` checks each declared field of a dataclass in turn.
 """
 
 import math
 import sys
 from dataclasses import MISSING, field, fields
-from functools import cache
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -58,32 +59,27 @@ class InconsistentMeasurementError(DataError):
 
 
 class Domain(NamedTuple):
-    """The values x for which the expression ``test`` (compiled: ``accepts``) holds;
-    ``text`` ends "<name> must ...", and ``integer`` marks a run file's int literal."""
-
-    accepts: object
-    test: str
-    text: str
-    integer: bool
+    accepts: Callable[[object], bool]  # x -> whether x lies in the domain
+    text: str  # ends "<name> must ..."
+    integer: bool  # a run file gives the value as an int literal
 
 
-#: Numbers of these concrete types, never bools; NaN fails every bound.
-_SCOPE = {"REAL": (float, int, np.floating, np.integer), "INT": (int, np.integer),
-          "LARGEST": sys.float_info.max, "inf": math.inf}
+def _domain(bounds, text: str, integer: bool = False) -> Domain:
+    """Numbers of the domain's kind, never bools, within ``bounds``.  A float16 or
+    float32 meets them as a double, as the largest double cast to its type overflows."""
+    kinds = (int, np.integer) if integer else (float, int, np.floating, np.integer)
+    return Domain(lambda x: isinstance(x, kinds) and not isinstance(x, bool)
+                  and bounds(float(x) if isinstance(x, (np.float16, np.float32)) else x),
+                  text, integer)
 
 
-def _domain(kind: str, bounds: str, text: str) -> Domain:
-    test = f"isinstance(x, {kind}) and x is not True and x is not False and {bounds}"
-    return Domain(eval(f"lambda x: {test}", _SCOPE), test, text, kind == "INT")
-
-
-UNIT = _domain("REAL", "0.0 <= x <= 1.0", "lie in [0, 1]")
-POSITIVE = _domain("REAL", "0.0 < x <= LARGEST", "be positive and finite")
-NONNEGATIVE = _domain("REAL", "0.0 <= x <= LARGEST", "be finite and >= 0")
-COUNT = _domain("REAL", "0 <= x < inf and int(x) == x", "be a nonnegative integer")
-SEED = _domain("INT", "x >= 0", "be an integer >= 0")
-POSITIVE_INT = _domain("INT", "x >= 1", "be an integer >= 1")
-CHANNELS = _domain("INT", "1 <= x <= 2 ** 16", "be an integer in [1, 65536]")
+UNIT = _domain(lambda x: 0.0 <= x <= 1.0, "lie in [0, 1]")
+POSITIVE = _domain(lambda x: 0.0 < x <= sys.float_info.max, "be positive and finite")
+NONNEGATIVE = _domain(lambda x: 0.0 <= x <= sys.float_info.max, "be finite and >= 0")
+COUNT = _domain(lambda x: 0 <= x < math.inf and int(x) == x, "be a nonnegative integer")
+SEED = _domain(lambda x: x >= 0, "be an integer >= 0", True)
+POSITIVE_INT = _domain(lambda x: x >= 1, "be an integer >= 1", True)
+CHANNELS = _domain(lambda x: 1 <= x <= 2 ** 16, "be an integer in [1, 65536]", True)
 
 
 def check(name: str, value, domain: Domain):
@@ -98,18 +94,8 @@ def declared(domain: Domain, default=MISSING):
     return field(default=default, metadata={"domain": domain})
 
 
-@cache
-def _fields_check(cls):
-    """The domain checks of the fields of ``cls`` inline in one function, compiled
-    as dataclasses compiles ``__init__``: a call per field doubles the cost."""
-    named = [(f.name, f.metadata["domain"]) for f in fields(cls) if "domain" in f.metadata]
-    body = "".join(f"    x = obj.{name}\n    if not ({d.test}): check({name!r}, x, D[{i}])\n"
-                   for i, (name, d) in enumerate(named))
-    scope = {**_SCOPE, "check": check, "D": [d for _, d in named]}
-    exec(f"def check_fields(obj):\n{body}", scope)
-    return scope["check_fields"]
-
-
 def check_fields(obj) -> None:
     """Check every field of the dataclass ``obj`` that declares a domain."""
-    _fields_check(type(obj))(obj)
+    for f in fields(obj):
+        if "domain" in f.metadata:
+            check(f.name, getattr(obj, f.name), f.metadata["domain"])

@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .clickstats import MAX_BINS, ClickDistribution, PhotonSource
+from .clickstats import MAX_BINS, MAX_TRIALS, ClickDistribution, PhotonSource
 from .device import DeviceParams
 from .errors import (CHANNELS, NONNEGATIVE, POSITIVE_INT, SEED, UNIT, DomainError,
                      ParameterError, check, check_fields, declared)
@@ -296,7 +296,8 @@ def _reduced_runs(runs, params: DeviceParams, n_trials: int, workers: int,
     (source, seed) in ``runs`` in turn.  The blocks of all runs form one job
     list, checked before any runs, so ``workers`` > 1 starts one pool of at
     most one process per CPU and job, and a worker returns what ``reduce`` keeps."""
-    check("n_trials", n_trials, POSITIVE_INT)
+    if check("n_trials", n_trials, POSITIVE_INT) > MAX_TRIALS:
+        raise DomainError(f"n_trials = {n_trials} exceeds MAX_TRIALS = {MAX_TRIALS}")
     check("workers", workers, POSITIVE_INT)
     for _, seed in runs:
         check("seed", seed, SEED)

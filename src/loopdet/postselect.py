@@ -37,7 +37,7 @@ def acceptance_probability(rule: str, n, profile: ChannelProfile):
     first-channel-only: (q + h_1)^n - q^n.
     """
     n = np.asarray(n)
-    if np.any(n < 0) or np.any(n % 1):
+    if n.dtype.kind not in "iuf" or not np.isfinite(n).all() or np.any(n < 0) or np.any(n % 1):
         raise ParameterError(f"n must hold nonnegative integers, got {n}")
     h = profile.h
     lost = max(1.0 - float(h.sum()), 0.0)

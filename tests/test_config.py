@@ -10,7 +10,8 @@ from dataclasses import asdict, fields
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from loopdet import CouplerSetting, DeviceParams, SimSettings
+from loopdet import CouplerSetting, DeviceParams, PhotonSource, SimSettings
+from loopdet.cli import EXIT_CONFIG, main
 from loopdet.config import _read_sections, load_config
 from loopdet.errors import ConfigError, DomainError
 
@@ -173,3 +174,32 @@ def test_reader_and_configparser_both_reject(text):
         configparser_sections(text)
     with pytest.raises(ConfigError):
         _read_sections(io.StringIO(text), "run.ini")
+
+
+@pytest.mark.parametrize("source,extra", [
+    ("kind = fock\nn = 3\nmu = not-a-number\npmf = 0.2,0.8", "mu"),
+    ("kind = poissonian\nmu = 2\nn = 3", "n"),
+    ("mu = 2\npmf = 1", "pmf"),               # poissonian by default
+    ("kind = custom\npmf = 0.5,0.5\nn = 1", "n"),
+])
+def test_source_key_its_kind_does_not_read(tmp_path, capsys, source, extra):
+    # The Fock case used to load as a Fock-3 source, its mu and pmf unread.
+    path = tmp_path / "run.ini"
+    path.write_text(f"[source]\n{source}\n")
+    with pytest.raises(ConfigError, match=f"does not read '{extra}' in \\[source\\]"):
+        load_config(path)
+    assert main(["cm-curve", "--mu-grid", "1", "--config", str(path)]) == EXIT_CONFIG
+    assert f"does not read '{extra}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source,expected", [
+    ("kind = fock\nn = 3", PhotonSource.fock(3)),
+    ("mu = 2", PhotonSource.poissonian(2.0)),
+    ("kind = custom\npmf = 0.5,0.5", PhotonSource.custom([0.5, 0.5])),
+])
+def test_source_reads_kind_and_its_key(tmp_path, source, expected):
+    path = tmp_path / "run.ini"
+    path.write_text(f"[source]\n{source}\n")
+    source = load_config(path).source
+    assert (source.kind, source.mu, source.n) == (expected.kind, expected.mu, expected.n)
+    assert repr(source.pmf) == repr(expected.pmf)

@@ -6,6 +6,7 @@ import csv
 import dataclasses
 import json
 import math
+import sys
 import warnings
 from pathlib import Path
 
@@ -16,10 +17,11 @@ from hypothesis import example, given, settings, strategies as st
 import loopdet
 from loopdet import (ChannelProfile, ClickDistribution, CouplerSetting, DeviceParams,
                      PhotonSource, SimSettings, reference_device)
-from loopdet import errors
+from loopdet import errors, montecarlo
+from loopdet.clickstats import MAX_TRIALS, binomial_matrix
 from loopdet.cli import EXIT_CONFIG, EXIT_DATA, EXIT_DOMAIN, EXIT_OK, main
-from loopdet.errors import DataError, LoopdetError, ParameterError
-from loopdet.postselect import herald_acceptance_from_mc
+from loopdet.errors import DataError, DomainError, LoopdetError, ParameterError
+from loopdet.postselect import acceptance_probability, herald_acceptance_from_mc
 
 #: The hostile values: NaN, the infinities, a negative zero, the largest
 #: and the smallest doubles, a bool, a fraction and an int beyond uint64.
@@ -49,6 +51,54 @@ def test_readme_lists_each_declared_domain():
         assert f"- `{const}`, must {domain.text}: {', '.join(names)}" in lines
 
 
+DOMAINS = ("UNIT", "POSITIVE", "NONNEGATIVE", "COUNT", "SEED", "POSITIVE_INT", "CHANNELS")
+#: Value -> the domains that accept it, in the order of DOMAINS.
+TABLE = [
+    (math.nan, ""), (math.inf, ""), (-math.inf, ""),
+    (0.0, "UNIT NONNEGATIVE COUNT"), (-0.0, "UNIT NONNEGATIVE COUNT"),
+    (5e-324, "UNIT POSITIVE NONNEGATIVE"), (sys.float_info.max, "POSITIVE NONNEGATIVE COUNT"),
+    (0.5, "UNIT POSITIVE NONNEGATIVE"), (1.5, "POSITIVE NONNEGATIVE"), (-1, ""),
+    (1, "UNIT POSITIVE NONNEGATIVE COUNT SEED POSITIVE_INT CHANNELS"),
+    (2 ** 16, "POSITIVE NONNEGATIVE COUNT SEED POSITIVE_INT CHANNELS"),
+    (2 ** 16 + 1, "POSITIVE NONNEGATIVE COUNT SEED POSITIVE_INT"),
+    (2 ** 64, "POSITIVE NONNEGATIVE COUNT SEED POSITIVE_INT"),
+    (10 ** 400, "COUNT SEED POSITIVE_INT"),  # beyond every double, still an integer
+    (True, ""), (np.bool_(True), ""),
+    (np.float16(2.0), "POSITIVE NONNEGATIVE COUNT"), (np.float16(math.inf), ""),
+    (np.float32(50.0), "POSITIVE NONNEGATIVE COUNT"), (np.float32(math.inf), ""),
+    (np.float64(0.5), "UNIT POSITIVE NONNEGATIVE"),
+    (np.int32(0), "UNIT NONNEGATIVE COUNT SEED"),
+    (np.int64(2 ** 16), "POSITIVE NONNEGATIVE COUNT SEED POSITIVE_INT CHANNELS"),
+    (np.uint64(2 ** 64 - 1), "POSITIVE NONNEGATIVE COUNT SEED POSITIVE_INT"),
+    ("1", ""), (None, ""),
+]
+
+
+def test_table_covers_every_domain():
+    assert {n for n in dir(errors) if isinstance(getattr(errors, n), errors.Domain)} == \
+        set(DOMAINS)
+
+
+@pytest.mark.parametrize("value,accepted", TABLE, ids=[f"{v!r:.24}" for v, _ in TABLE])
+def test_domain_table(value, accepted):
+    # A float16 or float32 used to warn: its bound, the largest double, was
+    # cast to its type and overflowed, so its inf passed as finite.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert [n for n in DOMAINS if getattr(errors, n).accepts(value)] == accepted.split()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: DeviceParams(dead_time_ns=np.float32(50.0)),
+    lambda: PhotonSource.poissonian(np.float32(2.0)),
+    lambda: SimSettings(time_offset_ns=np.float16(1.0)),
+    lambda: CouplerSetting.ideal(np.float32(0.25))])
+def test_narrow_numpy_float_is_a_number(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        call()
+
+
 @pytest.mark.parametrize("call", [
     lambda: SimSettings(n_bins=10.5), lambda: SimSettings(max_channels=2.5),
     lambda: SimSettings(n_bins=True), lambda: DeviceParams(loop_delay_ns=math.inf),
@@ -62,6 +112,57 @@ def test_readme_lists_each_declared_domain():
 def test_value_outside_its_domain_refused(call):
     with pytest.raises(ParameterError):
         call()
+
+
+@pytest.mark.parametrize("n", [math.inf, -math.inf, math.nan, [1, math.inf], True,
+                               np.bool_(True), 2 ** 64])
+def test_acceptance_probability_refuses_non_counts(n):
+    # inf used to warn from n % 1, and True counted as one photon.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match="nonnegative integers"):
+            acceptance_probability("exactly-one", n, PROFILE)
+
+
+@pytest.mark.parametrize("p,t", [(2.0, 1.0), (-0.5, 1.0), (math.nan, 1.0), (0.5, 1.5),
+                                 (0.5, -1e-9), (0.5, math.inf), (0.5, True)])
+def test_binomial_matrix_refuses_p_or_t_outside_unit(p, t):
+    # p = 2 used to give C(n, j) 2^(n-j) with no error.
+    with pytest.raises(ParameterError, match="must lie in \\[0, 1\\]"):
+        binomial_matrix(3, p, t)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+def test_binomial_matrix_at_zero_transmission(p):
+    # t = 0 used to raise a math domain error from log(t).
+    M = binomial_matrix(5, p, 0.0)
+    assert np.all(M[:, 1:] == 0.0)
+    np.testing.assert_allclose(M[:, 0], p ** np.arange(5), rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(binomial_matrix(5, p, 1e-300), M, rtol=1e-15, atol=1e-299)
+
+
+@pytest.fixture
+def no_batch_runs(monkeypatch):
+    def no_run(job):
+        raise AssertionError("a batch ran")
+    monkeypatch.setattr(montecarlo, "_batch_worker", no_run)
+
+
+def test_trials_above_max_refused_before_any_batch(no_batch_runs, capsys, tmp_path):
+    # 2**64 trials used to ask for a list of 2**51 batch sizes.
+    source = PhotonSource.poissonian(1.0)
+    with pytest.raises(DomainError, match="MAX_TRIALS"):
+        loopdet.run_simulation(source, GOOD, MAX_TRIALS + 1, seed=1)
+    with pytest.raises(DomainError, match="MAX_TRIALS"):
+        herald_acceptance_from_mc(GOOD, 1, "exactly-one", MAX_TRIALS + 1, 1)
+    with pytest.raises(AssertionError, match="a batch ran"):  # the bound is inclusive
+        loopdet.run_simulation(source, GOOD, MAX_TRIALS, seed=1)
+    ini, out = tmp_path / "run.ini", tmp_path / "tof.csv"
+    ini.write_text(f"[simulation]\nn_trials = {MAX_TRIALS + 1}\n")
+    for options in (["--trials", str(MAX_TRIALS + 1)], ["--config", str(ini)]):
+        assert main(["simulate-tof", "--seed", "1", "--mu", "1", "--out", str(out), *options]) \
+            == EXIT_DOMAIN
+        assert "MAX_TRIALS" in capsys.readouterr().err and not out.exists()
 
 
 # --- the contract: each public call raises a LoopdetError or returns finite output
@@ -186,6 +287,9 @@ CONTRACT = {
         GOOD, 1, "exactly-one", 20, 1, n_channels=v),
     "herald.workers": lambda v: herald_acceptance_from_mc(
         GOOD, 1, "exactly-one", 20, 1, workers=v) if not v > 1 else None,
+    "acceptance_probability": lambda v: acceptance_probability("exactly-one", v, PROFILE),
+    "binomial_matrix.p": lambda v: binomial_matrix(4, v),
+    "binomial_matrix.t": lambda v: binomial_matrix(4, 0.5, v),
 }
 SMALL_RUN = simulate()[0]
 

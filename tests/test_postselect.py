@@ -3,6 +3,7 @@ multi-photon reduction factor."""
 
 import importlib
 import math
+import os
 
 import numpy as np
 import pytest
@@ -294,6 +295,8 @@ class TestHeraldAcceptanceFromMc:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             CountingPool)
+        # The pool is bounded by the CPU count: the same two on any host.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         table = herald_acceptance_from_mc(ref_params, 3, "exactly-one", 500,
                                           9, workers=2)
         assert pools == [{"max_workers": 2}]
