@@ -15,8 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .device import ChannelProfile
-from .errors import (COUNT, NONNEGATIVE, POSITIVE, UNIT, DegenerateDeviceError, DomainError,
-                     ParameterError, UndefinedContentError, check, check_fields, declared)
+from .errors import (COUNT, NONNEGATIVE, POSITIVE, POSITIVE_INT, UNIT, DegenerateDeviceError,
+                     DomainError, ParameterError, UndefinedContentError, check, check_fields,
+                     declared)
 
 
 @dataclass(frozen=True)
@@ -189,7 +190,8 @@ def _binomial_terms(log_c, d, p: float, t: float, keep) -> np.ndarray:
 
 def binomial_matrix(size: int, p: float, t: float = 1.0) -> np.ndarray:
     """M[n, j] = C(n, j) p^(n-j) t^j for j <= n < size <= MAX_PHOTONS + 1, else 0."""
-    size = _check_photons(size - 1, f"a binomial matrix of size {size}") + 1
+    size = _check_photons(check("size", size, POSITIVE_INT) - 1,
+                          f"a binomial matrix of size {size}") + 1
     check("p", p, UNIT)
     check("t", t, UNIT)
     log_c, d = _log_binomial(size)

@@ -70,8 +70,8 @@ class SimSettings:
 
 @dataclass(frozen=True)
 class SimulationResult:
-    """Flat event record of a full run: one row per registered click.
-    Invariant: the rows are sorted by (pulse, time, origin)."""
+    """One row per registered click, sorted by (pulse, time, origin); a row of
+    origin k >= 1 has time_ns == time_offset_ns + (k - 1.0) * loop_delay_ns."""
 
     params: DeviceParams
     settings: SimSettings
@@ -163,6 +163,10 @@ def _route_photons(params: DeviceParams, uniform, pulse_of_photon: np.ndarray,
             np.repeat(np.arange(1, k, dtype=np.int32), [a.size for a in det_pulse]))
 
 
+def _click_time(params: DeviceParams, settings: SimSettings, channel):
+    return settings.time_offset_ns + (channel - 1.0) * params.loop_delay_ns
+
+
 def _resolve_flagged(pulse, time, origin, ap_flag, ap_delay, dead_time: float):
     """Dead time and afterpulses for candidate clicks in any order, tied
     candidates going in their given order (see the module docstring).  An
@@ -207,9 +211,9 @@ def _simulate_block(reduce, source: PhotonSource, params: DeviceParams,
     """Batches first_batch, first_batch + 1, ... of ``sizes`` pulses in lock
     step: each makes its own stream's draws in order, all else runs once over
     the block, whose pulse b * BATCH_SIZE + i is batch b's pulse i.  Returns
-    ``reduce(params, settings, first_batch, n_photons, fast, resolved)``, the
-    (pulse, time, origin) of the clicks of pulses without noise candidates,
-    channel-major, and of the other pulses' registered clicks, by (pulse, time)."""
+    ``reduce(params, settings, first_batch, n_photons, fast, resolved)``: the
+    (pulse, channel) of the channel-major clicks of pulses without noise candidates,
+    and the other pulses' registered clicks' (pulse, time, origin), by (pulse, time)."""
     rngs = [_batch_rng(seed, first_batch + b) for b in range(len(sizes))]
     edges = BATCH_SIZE * np.arange(len(sizes) + 1, dtype=np.int32)
 
@@ -225,7 +229,6 @@ def _simulate_block(reduce, source: PhotonSource, params: DeviceParams,
     index = np.arange(n_photons.size, dtype=np.int32)
     ph_pulse, ph_channel = _route_photons(params, fill, np.repeat(index, n_photons),
                                           settings.max_channels)
-    ph_time = settings.time_offset_ns + (ph_channel - 1.0) * params.loop_delay_ns
 
     # Dark counts: per-bin probability, uniform over the acquisition window
     # (rng.uniform(0, w) draws w * rng.random(), bit for bit).
@@ -247,28 +250,28 @@ def _simulate_block(reduce, source: PhotonSource, params: DeviceParams,
     flagged[dk_pulse] = True
     flagged[np.compress(ph_u < p_ap, by_pulse)] = True
     slow = flagged[ph_pulse]
-    fast, cand = ([np.compress(m, a) for a in (ph_pulse, ph_time, ph_channel)]
-                  for m in (~slow, slow))
+    fast, cand = ([np.compress(m, a) for a in (ph_pulse, ph_channel)] for m in (~slow, slow))
 
     # Candidates: the flagged pulses' clicks in (pulse, channel) order, as
     # their u were drawn, then the dark counts.
     order = np.argsort(cand[0], kind="stable")
+    cand = (cand[0][order], _click_time(params, settings, cand[1][order]), cand[1][order])
     dark = (dk_pulse, dk_time, np.full(dk_pulse.size, ORIGIN_DARK, np.int32))
     u = np.concatenate((np.compress(flagged[by_pulse], ph_u), dk_u))
     ap_flag = u < p_ap
     u[ap_flag] = -tau * np.log1p(-u[ap_flag] / p_ap)  # inverted to the delay
-    resolved = _resolve_flagged(*(np.concatenate((a[order], d)) for a, d in zip(cand, dark)),
+    resolved = _resolve_flagged(*(np.concatenate(pair) for pair in zip(cand, dark)),
                                 ap_flag, u, params.dead_time_ns)
     return reduce(params, settings, first_batch, n_photons, fast, resolved)
 
 
 def _keep_events(params, settings, first_batch, n_photons, fast, resolved):
-    """``run_simulation``'s reducer.  Fast and flagged pulses are disjoint and
-    each pulse's rows rise in time, so a stable sort by pulse gives the order."""
-    pulse, time, origin = (np.concatenate(pair) for pair in zip(fast, resolved))
+    """``run_simulation``'s reducer: a stable sort by pulse orders the disjoint fast and
+    flagged pulses' time-ordered rows; the noise rows' times follow in that order."""
+    pulse, origin = (np.concatenate(pair) for pair in zip(fast, resolved[::2]))
     order = np.argsort(pulse, kind="stable")
-    return (np.add(pulse[order], first_batch * BATCH_SIZE, dtype=np.int64),
-            time[order], origin[order], n_photons)
+    return (np.add(pulse[order], first_batch * BATCH_SIZE, dtype=np.int64), origin[order],
+            np.compress(resolved[2] < 1, resolved[1]), n_photons)
 
 
 def _batch_worker(args):
@@ -331,7 +334,9 @@ def run_simulation(source: PhotonSource, params: DeviceParams,
     parts, = (list(zip(*blocks)) for blocks in _reduced_runs(
         [(source, seed)], params, n_trials, workers, settings, _keep_events))
     # One column at a time, freeing its parts before the next.
-    pulse, time, origin, n_photons = (np.concatenate(parts.pop(0)) for _ in range(4))
+    pulse, origin, noise_time, n_photons = (np.concatenate(parts.pop(0)) for _ in range(4))
+    time = _click_time(params, settings, origin)  # each time once; the noise's in place
+    np.place(time, origin < 1, noise_time)
     return SimulationResult(params=params, settings=settings, seed=seed,
                             n_trials=n_trials, pulse=pulse, time_ns=time,
                             origin=origin, n_photons=n_photons)
@@ -341,17 +346,19 @@ def accumulate_histogram(result: SimulationResult) -> TofHistogram:
     """Bin all registered clicks into the acquisition window.
 
     Clicks beyond the window are tallied as overflow, never silently
-    dropped.
+    dropped.  Channel clicks are binned per channel, noise clicks singly.
     """
-    bw = result.params.bin_width_ns
-    n_bins = result.settings.n_bins
+    p, s, origin = result.params, result.settings, result.origin
+    per_channel = np.bincount(origin - ORIGIN_AFTERPULSE, minlength=2)[2:]
+    time = np.r_[_click_time(p, s, np.arange(1, per_channel.size + 1)),
+                 np.compress(origin < 1, result.time_ns)]
+    weight = np.r_[per_channel, np.ones(time.size - per_channel.size, np.int64)]
     with np.errstate(over="ignore"):  # a quotient beyond every float is overflow too
-        bins = result.time_ns / bw
-    in_window = (bins >= 0) & (bins < n_bins)  # before the cast, which sees no late time
-    counts = np.bincount(bins[in_window].astype(np.int64), minlength=n_bins)
-    return TofHistogram(bin_width_ns=bw, counts=counts,
-                        n_trials=result.n_trials,
-                        overflow=int((~in_window).sum()))
+        bins = time / p.bin_width_ns
+    in_window = (bins >= 0) & (bins < s.n_bins)  # before the cast, which sees no late time
+    counts = np.bincount(bins[in_window].astype(np.int64), weight[in_window], s.n_bins)
+    return TofHistogram(bin_width_ns=p.bin_width_ns, counts=counts.astype(np.int64),
+                        n_trials=result.n_trials, overflow=int(weight[~in_window].sum()))
 
 
 @dataclass(frozen=True)
@@ -379,37 +386,36 @@ def window_clicks(result: SimulationResult,
                   n_channels: int) -> tuple[np.ndarray, np.ndarray]:
     """(pulse, channel) of each distinct accepted-window click.
 
-    A click counts for channel k <= n_channels when it falls within the
-    window of width q * loop_delay centered on that channel's arrival time,
-    so noise clicks can masquerade as channel detections.
+    A channel click counts for its channel k <= n_channels.  A noise click
+    counts for channel k when it falls within the window of width q *
+    loop_delay centered on k's arrival time, so it can masquerade as one.
     """
     check("n_channels", n_channels, CHANNELS)
     return _window_clicks(result.params, result.settings, result.pulse, result.time_ns,
-                          n_channels)
+                          result.origin, n_channels)
 
 
-def _window_clicks(p: DeviceParams, s: SimSettings, pulse, time, n_channels: int):
-    """``window_clicks`` of the clicks (pulse, time), time-ordered within a
-    pulse, so that clicks sharing a window are adjacent and count once."""
-    half_width = 0.5 * p.duty_factor_q * p.loop_delay_ns
-    k = (time - s.time_offset_ns) / p.loop_delay_ns
-    np.rint(k, out=k)  # nearest channel - 1; float until the rows are kept
-    dist = k * p.loop_delay_ns + s.time_offset_ns - time
-    in_window = (np.abs(dist, out=dist) <= half_width) & (k >= 0) & (k < n_channels)
-    del dist
-    pulse, channel = pulse[in_window], k[in_window].astype(np.int64) + 1
-    first = np.ones(pulse.size, dtype=bool)
-    first[1:] = (pulse[1:] != pulse[:-1]) | (channel[1:] != channel[:-1])
-    return pulse[first], channel[first]
+def _window_clicks(p: DeviceParams, s: SimSettings, pulse, time, origin, n_channels: int):
+    """``window_clicks`` of rows time-ordered within a pulse (channel clicks by origin,
+    noise by time), so that clicks sharing a window are adjacent and count once."""
+    noise = np.flatnonzero(origin < 1)
+    k = np.rint((time[noise] - s.time_offset_ns) / p.loop_delay_ns)  # nearest channel - 1
+    dist = np.abs(k * p.loop_delay_ns + s.time_offset_ns - time[noise])
+    hit = (dist <= 0.5 * p.duty_factor_q * p.loop_delay_ns) & (k >= 0) & (k < n_channels)
+    channel = np.maximum(origin, 0)  # a noise click outside every window is in none
+    channel[noise[hit]] = k[hit] + 1
+    first = (channel >= 1) & (channel <= n_channels)
+    first[1:] &= (pulse[1:] != pulse[:-1]) | (channel[1:] != channel[:-1])
+    return np.compress(first, pulse), np.compress(first, channel)
 
 
 def _window_tally(n_channels, params, settings, first_batch, n_photons, fast, resolved):
     """A block's counts of pulses with no window click, with exactly one, and
     with exactly one, in channel 1: the herald's reducer.  Fast clicks sit on
     their window centres, so only the resolved clicks go through the windows."""
-    keep = fast[2] <= n_channels
+    keep = fast[1] <= n_channels
     pulse, channel = (np.concatenate((np.compress(keep, a), w)) for a, w in zip(
-        (fast[0], fast[2]), _window_clicks(params, settings, *resolved[:2], n_channels)))
+        fast, _window_clicks(params, settings, *resolved, n_channels)))
     clicks = np.bincount(pulse, minlength=n_photons.size)
     # A pulse has at most one window click per channel.
     return np.array([np.count_nonzero(clicks == 0), np.count_nonzero(clicks == 1),
@@ -418,10 +424,12 @@ def _window_tally(n_channels, params, settings, first_batch, n_photons, fast, re
 
 def empirical_click_distribution(result: SimulationResult,
                                  n_channels: int = 15) -> EmpiricalClickDistribution:
-    """Pmf of the number of :func:`window_clicks` per pulse."""
+    """Pmf of the number of :func:`window_clicks` per pulse, from their pulse runs."""
     pulse, _ = window_clicks(result, n_channels)
-    clicks_per_pulse = np.bincount(pulse, minlength=result.n_trials)
-    pmf_counts = np.bincount(clicks_per_pulse, minlength=n_channels + 1)
+    edge = np.ones(pulse.size + 1, dtype=bool)  # each run's start, and the end
+    np.not_equal(pulse[1:], pulse[:-1], out=edge[1:-1])
+    pmf_counts = np.bincount(np.diff(np.flatnonzero(edge)), minlength=n_channels + 1)
+    pmf_counts[0] = result.n_trials - pmf_counts.sum()  # the pulses in no run
     pmf = pmf_counts / float(result.n_trials)
     stderr = np.sqrt(pmf * (1.0 - pmf) / result.n_trials)
     return EmpiricalClickDistribution(distribution=ClickDistribution(pmf),

@@ -238,7 +238,7 @@ class TestBinomialMatrix:
         for size in (MAX_PHOTONS + 2, 1500, 10 ** 400):
             with pytest.raises(DomainError, match="MAX_PHOTONS"):
                 binomial_matrix(size, 0.5)
-        for size in (0, -3, 2.5):
+        for size in (0, -3, 2.5, True, 2.0):  # a bool or float size used to pass
             with pytest.raises(ParameterError):
                 binomial_matrix(size, 0.5)
 

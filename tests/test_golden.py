@@ -21,7 +21,10 @@ import numpy as np
 import pytest
 
 from loopdet import (
+    CouplerSetting,
+    DeviceParams,
     PhotonSource,
+    SimSettings,
     reference_device,
     run_simulation,
 )
@@ -297,6 +300,25 @@ def test_block_size(source, per_block, monkeypatch):
     # At most 2**17 expected rows (pulses plus photons), or one batch.
     mean = source.pmf_array() @ np.arange(source.n_max + 1)
     assert per_block == 1 or per_block * BATCH_SIZE * (1 + mean) <= 2 ** 17
+
+
+@pytest.mark.parametrize("device,settings", [
+    (DEVICES["noisy"], SimSettings()),
+    (DUPLICATE_WINDOW_DEVICE, SimSettings()),
+    (DeviceParams(coupler=CouplerSetting(0.45, 0.5, 0.52, 0.44), dark_prob_per_bin=1e-5),
+     SimSettings()),
+    (DEVICES["noisy"], SimSettings(time_offset_ns=37.3, max_channels=4))],
+    ids=["noisy", "duplicate-window", "four-tij", "max-channels-4"])
+def test_channel_click_time_is_its_round_trip(device, settings):
+    # The histogram and the windows place a channel click by its origin, so
+    # its time must be the engine's own expression of it, bit for bit.
+    res = run_simulation(PhotonSource.poissonian(2.13), device, TRIALS, 3,
+                         settings=settings)
+    channel = res.origin >= 1
+    assert (~channel).any() and res.origin.max() <= settings.max_channels
+    k = res.origin[channel]
+    expected = settings.time_offset_ns + (k - 1.0) * device.loop_delay_ns
+    assert np.array_equal(res.time_ns[channel].view(np.int64), expected.view(np.int64))
 
 
 def recorded() -> dict:

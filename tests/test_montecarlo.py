@@ -173,6 +173,21 @@ class TestTimingModel:
         rel = (times - 100.0) / params.loop_delay_ns
         assert np.allclose(rel, np.rint(rel))
 
+    def test_windows_place_channel_clicks_by_origin(self):
+        # At an offset of 1e20 ns every (time - offset) / loop_delay rounds to
+        # 0, so placing channel clicks by time put them all into channel 1.
+        params = reference_device(dark_prob_per_bin=0.0, afterpulse_prob=0.0)
+        res = run_simulation(PhotonSource.fock(3), params, 2000, seed=3,
+                             settings=SimSettings(time_offset_ns=1e20))
+        in_range = res.origin <= 15  # noise-free: every row is a channel click
+        pulse, channel = window_clicks(res, 15)
+        np.testing.assert_array_equal(pulse, res.pulse[in_range])
+        np.testing.assert_array_equal(channel, res.origin[in_range])
+        distinct = np.bincount(res.pulse[in_range], minlength=res.n_trials)
+        np.testing.assert_array_equal(
+            empirical_click_distribution(res, 15).distribution.p_click,
+            np.bincount(distinct, minlength=16) / res.n_trials)
+
     def test_dead_time_invariant(self, noisy_run):
         # No two registered clicks of one pulse are closer than the dead time.
         params, result = noisy_run
@@ -320,6 +335,15 @@ class TestInterfaces:
         assert np.all(result.pulse == 0)
         assert np.all(np.diff(result.time_ns) >= 0)
 
+    def test_clickless_run(self, ref_params):
+        # No rows at all: every pulse is in p0, and nothing is binned.
+        result = run_simulation(PhotonSource.poissonian(0.0), noiseless(ref_params), 50, seed=1)
+        assert result.pulse.size == 0 and window_clicks(result, 15)[0].size == 0
+        np.testing.assert_array_equal(empirical_click_distribution(result).distribution.p_click,
+                                      np.eye(16)[0])
+        hist = accumulate_histogram(result)
+        assert hist.counts.sum() == hist.overflow == 0
+
     def test_outcome_roundtrip(self, noisy_run):
         # A click's origin is an afterpulse (-1), a dark count (0) or its
         # channel k in 1..max_channels, so its channel is max(origin, 0).
@@ -378,10 +402,13 @@ class TestInterfaces:
     def test_histogram_casts_only_in_window_times(self, noisy_run):
         params, result = noisy_run
         times = np.array([0.0, 4.99, 5.0, 5119.9, 5120.0, 1e300, 1.7e308])
-        hist = accumulate_histogram(dataclasses.replace(result, time_ns=times))
+        # Dark-count rows, which are binned by their time.
+        rows = dict(pulse=np.arange(7), time_ns=times,
+                    origin=np.full(7, ORIGIN_DARK, np.int32))
+        hist = accumulate_histogram(dataclasses.replace(result, **rows))
         assert (hist.counts[0], hist.counts[1], hist.counts[-1], hist.overflow) == (2, 1, 1, 3)
         assert hist.counts.sum() == 4
-        tiny = dataclasses.replace(result, time_ns=times,
+        tiny = dataclasses.replace(result, **rows,
                                    params=dataclasses.replace(params, bin_width_ns=5e-324))
         assert accumulate_histogram(tiny).overflow == 6  # every quotient but 0 overflows
 
