@@ -8,7 +8,6 @@ A flag exposes the normalized variant for comparison.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,11 +15,9 @@ import numpy as np
 from .device import ChannelProfile, DeviceParams, _geometric, normalized_channels
 from .errors import DegenerateDeviceError, NoMaximumError
 
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-#: Coarse grid step of the ratio scan, and the golden-section tolerance on r.
+#: Coarse scan step, and fine-scan points across its maximum's bracket: 1e-6 apart.
 _GRID_STEP = 1e-3
-_REFINE_TOL = 1e-5
+_FINE_POINTS = 2001
 
 
 def _plogp(x: np.ndarray) -> np.ndarray:
@@ -49,39 +46,20 @@ class EntropyScan:
     e_star: float
 
 
-def _golden_section_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Golden-section search for the maximum of a unimodal f on [lo, hi]."""
-    a, b = lo, hi
-    c = b - _INV_GOLDEN * (b - a)
-    d = a + _INV_GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_GOLDEN * (b - a)
-            fd = f(d)
-    x = (a + b) / 2.0
-    return x, f(x)
-
-
 def optimize_ratio(params: DeviceParams, *, normalized: bool = False) -> EntropyScan:
     """Find the ideal-coupler division ratio maximizing the entropy.
 
-    A grid scan at steps of 1e-3 brackets the maximum, then golden-section
-    search refines it to |dr| < 1e-5.  The fixed losses (t0, theta, tl,
-    eta) are taken from ``params``; its coupler setting is ignored.  The
-    entropy sums every channel in closed form.
+    A grid scan at steps of 1e-3 brackets the maximum, and a second scan of
+    the bracket at steps of at most 1e-6 picks it.  The fixed losses (t0,
+    theta, tl, eta) are taken from ``params``; its coupler setting is
+    ignored.  The entropy sums every channel in closed form.
     """
 
-    def entropy_at(r):
-        """Entropy over all channels at ratio r, a scalar or a grid: with
+    def entropy_at(r: np.ndarray) -> np.ndarray:
+        """Entropy over all channels at each ratio of the grid r: with
         h_k = h_2 * rho**(k-2), E = -h_1 ln h_1 - h_2 ln h_2 / (1 - rho)
         - h_2 rho ln rho / (1 - rho)**2."""
-        h1, h2, rho = (np.asarray(x, dtype=float) for x in _geometric(params, r))
+        h1, h2, rho = _geometric(params, r)
         e = -_plogp(h1) - _plogp(h2) / (1.0 - rho) - h2 * _plogp(rho) / (1.0 - rho) ** 2
         if normalized:
             total = h1 + h2 / (1.0 - rho)
@@ -96,11 +74,11 @@ def optimize_ratio(params: DeviceParams, *, normalized: bool = False) -> Entropy
     if np.ptp(e_grid) < 1e-12:
         raise NoMaximumError("entropy landscape is flat; no maximum exists")
     i = int(np.argmax(e_grid))
-    lo = r_grid[max(i - 1, 0)]
-    hi = r_grid[min(i + 1, n_grid - 1)]
-    r_star, e_star = _golden_section_max(entropy_at, lo, hi, _REFINE_TOL)
-    # Refinement must never lose to the coarse grid.
-    if e_grid[i] > e_star:
-        r_star, e_star = float(r_grid[i]), float(e_grid[i])
-    return EntropyScan(r_grid=r_grid, entropy=e_grid, r_star=float(r_star),
-                       e_star=float(e_star))
+    # The coarse maximum goes first, as linspace may miss it by an ulp, so
+    # e_star is never below the grid's and a tie keeps the grid point.
+    r_fine = np.r_[r_grid[i], np.linspace(r_grid[max(i - 1, 0)],
+                                          r_grid[min(i + 1, n_grid - 1)], _FINE_POINTS)]
+    e_fine = entropy_at(r_fine)
+    j = int(np.argmax(e_fine))
+    return EntropyScan(r_grid=r_grid, entropy=e_grid, r_star=float(r_fine[j]),
+                       e_star=float(e_fine[j]))

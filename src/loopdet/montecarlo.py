@@ -32,7 +32,6 @@ from __future__ import annotations
 import json
 import csv
 import os
-from contextlib import ExitStack
 from dataclasses import asdict, dataclass
 from itertools import islice
 from typing import NamedTuple
@@ -279,26 +278,40 @@ def _batch_worker(args):
 
 
 def _check_times(params: DeviceParams, settings: SimSettings) -> None:
-    """At most MAX_BINS bins, and finite event times: the latest arrival or window
-    end plus 37 decay times, above any afterpulse delay -log1p(-u / p_ap) <= 53 ln 2."""
+    """At most MAX_BINS bins, and event times that resolve the engine's time scales.
+
+    The latest event time is the latest arrival or window end plus 37 decay
+    times, above any afterpulse delay -log1p(-u / p_ap) <= 53 ln 2.  The float
+    spacing there must be at most 2**-20 of the finest scale the engine compares
+    times against: the dead time, the bin width and, unless q = 0, the window
+    half-width q * loop_delay / 2.  A time then errs by about a millionth of
+    that scale, so rounding moves an event across a dead-time, window or bin
+    edge about a millionth of the time, below the 2**-16 standard error of
+    even a MAX_TRIALS run.  An infinite time has a NaN spacing and fails too.
+    """
     if settings.n_bins > MAX_BINS:
         raise DomainError(f"n_bins = {settings.n_bins} exceeds MAX_BINS = {MAX_BINS}")
     try:
-        latest = (max(settings.time_offset_ns + settings.max_channels * params.loop_delay_ns,
-                      settings.n_bins * params.bin_width_ns)
-                  + 37.0 * params.afterpulse_decay_ns)
+        latest = float(max(settings.time_offset_ns + settings.max_channels * params.loop_delay_ns,
+                           settings.n_bins * params.bin_width_ns)
+                       + 37.0 * params.afterpulse_decay_ns)
     except OverflowError:  # an int beyond every float
         latest = np.inf
-    if not np.isfinite(latest):
-        raise ParameterError(f"event times reach {latest}: a time or bin count is too large")
+    scales = [params.dead_time_ns, params.bin_width_ns]
+    if params.duty_factor_q > 0:  # at q = 0 no window has a width to resolve
+        scales.append(params.duty_factor_q * params.loop_delay_ns / 2)
+    finest, spacing = float(min(scales)), np.spacing(latest)
+    if not spacing <= 2.0 ** -20 * finest:
+        raise ParameterError(f"event times reach {latest} ns, where floats lie {spacing} ns "
+                             f"apart: they do not resolve the {finest} ns time scale")
 
 
 def _reduced_runs(runs, params: DeviceParams, n_trials: int, workers: int,
-                  settings: SimSettings, reduce):
-    """Yield the list of ``reduce``'s results over the blocks of each
-    (source, seed) in ``runs`` in turn.  The blocks of all runs form one job
-    list, checked before any runs, so ``workers`` > 1 starts one pool of at
-    most one process per CPU and job, and a worker returns what ``reduce`` keeps."""
+                  settings: SimSettings, reduce) -> list[list]:
+    """The list of ``reduce``'s results over the blocks of each (source, seed)
+    in ``runs``, per run.  The blocks of all runs form one job list, checked
+    before any runs, so ``workers`` > 1 starts one pool of at most one process
+    per CPU and job, and a worker returns what ``reduce`` keeps."""
     if check("n_trials", n_trials, POSITIVE_INT) > MAX_TRIALS:
         raise DomainError(f"n_trials = {n_trials} exceeds MAX_TRIALS = {MAX_TRIALS}")
     check("workers", workers, POSITIVE_INT)
@@ -314,15 +327,16 @@ def _reduced_runs(runs, params: DeviceParams, n_trials: int, workers: int,
     jobs = [(reduce, source, params, settings, seed, b, sizes[b:b + per])
             for (source, seed), per in zip(runs, per_block)
             for b in range(0, n_batches, per)]
-    with ExitStack() as stack:
-        blocks = map(_batch_worker, jobs)  # lazy: one block at a time
-        if workers > 1 and len(jobs) > 1:
-            from concurrent.futures import ProcessPoolExecutor
-            pool = stack.enter_context(ProcessPoolExecutor(
-                max_workers=min(workers, len(jobs), os.cpu_count() or 1)))
-            blocks = pool.map(_batch_worker, jobs, chunksize=1)
-        for per in per_block:
-            yield list(islice(blocks, -(-n_batches // per)))
+
+    def per_run(blocks):
+        return [list(islice(blocks, -(-n_batches // per))) for per in per_block]
+
+    if workers > 1 and len(jobs) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs),
+                                                 os.cpu_count() or 1)) as pool:
+            return per_run(pool.map(_batch_worker, jobs, chunksize=1))
+    return per_run(map(_batch_worker, jobs))
 
 
 def run_simulation(source: PhotonSource, params: DeviceParams,
@@ -331,8 +345,8 @@ def run_simulation(source: PhotonSource, params: DeviceParams,
     """Simulate ``n_trials`` pulses; deterministic for a given seed and
     settings, independent of ``workers``."""
     settings = settings or SimSettings()
-    parts, = (list(zip(*blocks)) for blocks in _reduced_runs(
-        [(source, seed)], params, n_trials, workers, settings, _keep_events))
+    parts = list(zip(*_reduced_runs([(source, seed)], params, n_trials, workers, settings,
+                                    _keep_events)[0]))
     # One column at a time, freeing its parts before the next.
     pulse, origin, noise_time, n_photons = (np.concatenate(parts.pop(0)) for _ in range(4))
     time = _click_time(params, settings, origin)  # each time once; the noise's in place

@@ -401,6 +401,17 @@ class TestChannelsCommand:
         assert not out.exists()
 
 
+#: stdout and the SHA-256 of the --out CSV of ``optimize`` on the default
+#: device, per extra option.  The tables were recorded from the golden-section
+#: refinement, stdout from the two-pass scan, which moved r_star by 1e-6.
+OPTIMIZE_BYTES = {
+    "": ("r_star = 0.446260\ne_star = 0.955745 nats\n",
+         "f93e7798de0a4a3dc4043ddc681adda947403dc990e4be5b06c590480d19312f"),
+    "--normalized": ("r_star = 0.442663\ne_star = 1.262764 nats\n",
+                     "f8fb06082b133c45eb3605f9dca31706aefdf8f5a12413ac1e2a76b47b027196"),
+}
+
+
 class TestOptimizeCommand:
     def test_prints_optimum(self, capsys):
         code, out, _ = run(capsys, "optimize")
@@ -414,6 +425,14 @@ class TestOptimizeCommand:
         assert code == EXIT_OK
         rows = read_csv(out_path)
         assert len(rows) == 1001
+
+    @pytest.mark.parametrize("variant", sorted(OPTIMIZE_BYTES))
+    def test_output_bytes(self, capsys, tmp_path, variant):
+        stdout, table_sha256 = OPTIMIZE_BYTES[variant]
+        out_path = tmp_path / "scan.csv"
+        assert run(capsys, "optimize", *variant.split(), "--out", str(out_path)) == \
+            (EXIT_OK, stdout, "")
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == table_sha256
 
 
 class TestCmCurveCommand:

@@ -13,7 +13,6 @@ from loopdet import (
     reference_device,
     shannon_entropy,
 )
-from loopdet.entropy import _golden_section_max
 from loopdet.errors import DegenerateDeviceError, NoMaximumError, ParameterError
 
 #: Channels of the long-sum oracle.  On the reference device rho <= 0.898,
@@ -38,6 +37,35 @@ def ideal_entropy(r: float) -> float:
     if r < 1.0:
         e -= 2.0 * (1.0 - r) * math.log(1.0 - r)
     return e
+
+
+def pass_entropy(params, r, normalized=False):
+    """Oracle: the entropy of the first LONG channels at each ratio of the
+    array r, each channel from pass-by-pass products of the ideal coupler's
+    t13 = t24 = r and t14 = t23 = 1 - r, not from the closed-form series.
+    The normalized entropy is E(h/T) = E(h)/T + ln T with T = sum(h)."""
+    reach = params.t0 * params.theta * (1.0 - r) * params.tl  # light into the loop
+    h = params.t0 * params.theta * r * params.eta
+    e, total = np.zeros_like(r), np.zeros_like(r)
+    for _ in range(LONG):
+        e -= h * np.log(np.where(h > 0.0, h, 1.0))
+        total += h
+        h = reach * params.theta * (1.0 - r) * params.eta
+        reach = reach * params.theta * r * params.tl
+    return e / total + np.log(total) if normalized else e
+
+
+#: The devices whose optimum is checked against the grid and the pass-by-pass oracle.
+OPTIMA = {
+    "reference": (reference_device(), False),
+    "reference-normalized": (reference_device(), True),
+    "lossless": (lossless(0.5), False),
+    "tl0": (reference_device(tl=0.0), False),
+    # Optimum 2.3e-7 below the grid point 0.417, which the fine scan's
+    # linspace misses by an ulp: only the grid point itself scores top.
+    "tl0-near-grid": (DeviceParams(t0=1.0, theta=1.0, tl=0.0, eta=1 / (math.e * 0.41699977),
+                                   coupler=CouplerSetting.ideal(0.5)), False),
+}
 
 
 def long_entropy(params, r, normalized=False):
@@ -104,16 +132,17 @@ class TestIdealEntropy:
 class TestOptimizeRatio:
     def test_lossless_optimum_is_half(self):
         scan = optimize_ratio(lossless(0.5))
-        assert scan.r_star == pytest.approx(0.5, abs=1e-4)
+        assert scan.r_star == pytest.approx(0.5, abs=1e-6)
         assert scan.e_star == pytest.approx(2.0 * math.log(2.0), rel=1e-6)
 
     def test_reference_device_optimum(self, ref_params):
         scan = optimize_ratio(ref_params)
         assert scan.r_star == pytest.approx(0.446, abs=0.010)
 
-    def test_refined_beats_grid(self, ref_params):
-        scan = optimize_ratio(ref_params)
-        assert scan.e_star >= scan.entropy.max()
+    def test_refined_beats_grid(self):
+        for device, (params, normalized) in OPTIMA.items():
+            scan = optimize_ratio(params, normalized=normalized)
+            assert scan.e_star >= scan.entropy.max(), device
 
     def test_scan_arrays_consistent(self, ref_params):
         scan = optimize_ratio(ref_params)
@@ -137,13 +166,16 @@ class TestOptimizeRatio:
         with pytest.raises(NoMaximumError):
             optimize_ratio(dead)
 
-    def test_r_star_matches_long_profile_argmax(self, ref_params):
-        # The same grid and refinement run on the LONG-channel oracle.
-        scan = optimize_ratio(ref_params)
-        i = int(np.argmax([long_entropy(ref_params, r) for r in scan.r_grid]))
-        r_long, _ = _golden_section_max(lambda r: long_entropy(ref_params, r),
-                                        scan.r_grid[i - 1], scan.r_grid[i + 1], 1e-5)
-        assert scan.r_star == pytest.approx(r_long, abs=1e-6)
+    def test_r_star_matches_long_profile_argmax(self):
+        # The LONG-channel oracle scanned at steps of 1e-3, then across the
+        # bracket of its maximum at steps of 1e-7.
+        for device, (params, normalized) in OPTIMA.items():
+            scan = optimize_ratio(params, normalized=normalized)
+            r = np.linspace(0.0, 1.0, 1001)
+            i = int(np.argmax(pass_entropy(params, r, normalized)))
+            r = np.linspace(r[max(i - 1, 0)], r[min(i + 1, 1000)], 20001)
+            r_long = r[np.argmax(pass_entropy(params, r, normalized))]
+            assert scan.r_star == pytest.approx(r_long, abs=1e-6), device
 
     @pytest.mark.parametrize("normalized", [False, True])
     def test_grid_matches_per_ratio_profiles(self, ref_params, normalized):
@@ -177,5 +209,5 @@ class TestOptimizeRatio:
         else:
             scan = optimize_ratio(params)
             h1_per_r = params.t0 * params.theta * params.eta
-            assert scan.r_star == pytest.approx(1 / (math.e * h1_per_r), abs=1e-5)
+            assert scan.r_star == pytest.approx(1 / (math.e * h1_per_r), abs=1e-6)
             assert scan.e_star == pytest.approx(1 / math.e, rel=1e-12)

@@ -176,9 +176,12 @@ class TestTimingModel:
     def test_windows_place_channel_clicks_by_origin(self):
         # At an offset of 1e20 ns every (time - offset) / loop_delay rounds to
         # 0, so placing channel clicks by time put them all into channel 1.
+        # The engine refuses that offset, so the run is moved there by hand,
+        # each time written as the engine writes it.
         params = reference_device(dark_prob_per_bin=0.0, afterpulse_prob=0.0)
-        res = run_simulation(PhotonSource.fock(3), params, 2000, seed=3,
-                             settings=SimSettings(time_offset_ns=1e20))
+        res = run_simulation(PhotonSource.fock(3), params, 2000, seed=3)
+        res = dataclasses.replace(res, settings=SimSettings(time_offset_ns=1e20),
+                                  time_ns=1e20 + (res.origin - 1.0) * params.loop_delay_ns)
         in_range = res.origin <= 15  # noise-free: every row is a channel click
         pulse, channel = window_clicks(res, 15)
         np.testing.assert_array_equal(pulse, res.pulse[in_range])
