@@ -35,8 +35,7 @@ from .device import _series, channel_transmissions, total_transmission
 from .entropy import optimize_ratio
 from .errors import (ConfigError, DataError, DegenerateDeviceError, DomainError,
                      UndefinedContentError)
-from .montecarlo import (accumulate_histogram, histogram_to_csv, histogram_to_json,
-                         run_simulation)
+from .montecarlo import accumulate_histogram, histogram_to_json, run_simulation
 from .postselect import ACCEPT_RULES, wm_curve
 
 EXIT_OK = 0
@@ -156,7 +155,9 @@ def cmd_simulate_tof(args) -> int:
     if cfg.out_format == "json":
         histogram_to_json(hist, path, seed=cfg.seed, params=cfg.device)
     else:
-        histogram_to_csv(hist, path)
+        rows = [[i, f"{i * hist.bin_width_ns:.6g}", count, repr(count / hist.n_trials)]
+                for i, count in enumerate(hist.counts.tolist())]
+        _write_table(rows, ["bin_index", "time_ns", "count", "probability"], "csv", path)
     print(f"wrote {path} ({hist.counts.sum()} in-window clicks, "
           f"{hist.overflow} overflow)")
     return EXIT_OK

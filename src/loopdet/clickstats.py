@@ -20,37 +20,52 @@ from .errors import (COUNT, NONNEGATIVE, POSITIVE, POSITIVE_INT, UNIT, Degenerat
                      declared)
 
 
+#: Source kind -> the one field besides ``kind`` that it reads.
+SOURCE_FIELDS = {"poissonian": "mu", "fock": "n", "custom": "pmf"}
+
+
 @dataclass(frozen=True)
 class PhotonSource:
     """Input photon-number statistics.
 
     One of a Poissonian pulse of mean ``mu``, a Fock state of ``n`` photons,
-    or an explicit pmf over n = 0..n_max.
+    or an explicit pmf over n = 0..n_max, nonnegative and summing to 1
+    within 1e-9; every source is checked when it is built.
     """
 
     kind: str
-    mu: float = 0.0
-    n: int = 0
+    mu: float = declared(NONNEGATIVE, 0.0)
+    n: int = declared(COUNT, 0)
     pmf: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        if not (isinstance(self.kind, str) and self.kind in SOURCE_FIELDS):
+            raise ParameterError(f"kind must be one of {', '.join(SOURCE_FIELDS)}, "
+                                 f"got {self.kind!r}")
+        check_fields(self)
+        object.__setattr__(self, "mu", float(self.mu))
+        object.__setattr__(self, "n", int(self.n))
+        if self.kind == "custom":
+            pmf = np.asarray(self.pmf, dtype=float)
+            if pmf.ndim != 1 or pmf.size == 0:
+                raise ParameterError("pmf must be a nonempty 1-d sequence")
+            if not np.all(pmf >= 0):
+                raise ParameterError("pmf has negative or NaN entries")
+            if abs(pmf.sum() - 1.0) > 1e-9:
+                raise ParameterError(f"pmf sums to {pmf.sum()!r}, not 1")
+            object.__setattr__(self, "pmf", pmf)
 
     @classmethod
     def poissonian(cls, mu: float) -> "PhotonSource":
-        return cls(kind="poissonian", mu=float(check("mu", mu, NONNEGATIVE)))
+        return cls("poissonian", mu=mu)
 
     @classmethod
     def fock(cls, n: int) -> "PhotonSource":
-        return cls(kind="fock", n=int(check("n", n, COUNT)))
+        return cls("fock", n=n)
 
     @classmethod
     def custom(cls, pmf) -> "PhotonSource":
-        pmf = np.asarray(pmf, dtype=float)
-        if pmf.ndim != 1 or pmf.size == 0:
-            raise ParameterError("pmf must be a nonempty 1-d sequence")
-        if not np.all(pmf >= 0):
-            raise ParameterError("pmf has negative or NaN entries")
-        if abs(pmf.sum() - 1.0) > 1e-9:
-            raise ParameterError(f"pmf sums to {pmf.sum()!r}, not 1")
-        return cls(kind="custom", pmf=pmf)
+        return cls("custom", pmf=pmf)
 
     @property
     def n_max(self) -> int:
@@ -86,11 +101,6 @@ class PhotonSource:
 #: expected pulses plus photons, so 1,000 photons per pulse peak near
 #: 270 MB; the click kernel's (n+1) x (n+1) binomial matrices take 8 MB.
 MAX_PHOTONS = 1000
-#: Largest time-of-flight window in bins (a 16-bit histogram), checked as a run starts.
-MAX_BINS = 2 ** 16
-#: Largest Monte Carlo run in pulses: 524,288 batches of 8,192, checked before
-#: the run's batch and job lists are built.
-MAX_TRIALS = 2 ** 32
 #: log(n!) for n = 0..MAX_PHOTONS, built once at import (8 KB) and sliced.
 _LOG_FACT = np.array([math.lgamma(n + 1.0) for n in range(MAX_PHOTONS + 1)])
 

@@ -41,9 +41,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, fields
 
-import numpy as np
-
-from .clickstats import PhotonSource
+from .clickstats import SOURCE_FIELDS, PhotonSource
 from .device import CouplerSetting, DeviceParams
 from .errors import ConfigError
 from .montecarlo import SimSettings
@@ -81,6 +79,7 @@ def _number(parse, what):
 
 _get_int = _number(int, "an integer")
 _get_float = _number(float, "a number")
+_get_pmf = _number(lambda text: [float(x) for x in text.split(",")], "a list of numbers")
 
 
 def _parsers(*classes) -> dict:
@@ -94,12 +93,10 @@ _RUN_KEYS = ("seed", "n_trials", "workers")
 #: [output] key -> (RunConfig field, accepted values or None for any).
 _OUTPUT = {"format": ("out_format", ("csv", "json")), "path": ("out_path", None),
            "reference_plane": ("reference_plane", ("input", "detected"))}
-#: [source] kind -> the one key besides ``kind`` that the kind reads.
-_SOURCE_KEYS = {"poissonian": "mu", "fock": "n", "custom": "pmf"}
 _SECTIONS = {
     "device": {k: p for k, p in _parsers(DeviceParams, CouplerSetting).items()
                if k != "coupler"},
-    "source": {"kind", *_SOURCE_KEYS.values()},
+    "source": {"kind": None, "mu": _get_float, "n": _get_int, "pmf": _get_pmf},
     "simulation": dict.fromkeys(_RUN_KEYS, _get_int) | _parsers(SimSettings),
     "output": _OUTPUT,
 }
@@ -188,20 +185,12 @@ def _parse_device(kwargs, path) -> DeviceParams:
 
 def _parse_source(section, path) -> PhotonSource:
     kind = section.get("kind", "poissonian")
-    if kind not in _SOURCE_KEYS:
+    if kind not in SOURCE_FIELDS:
         raise ConfigError(f"{path}: unknown source kind {kind!r}")
-    key = _SOURCE_KEYS[kind]
+    key = SOURCE_FIELDS[kind]
     for other in section:
         if other not in ("kind", key):
             raise ConfigError(f"{path}: a {kind} source does not read {other!r} in [source]")
     if key not in section:
         raise ConfigError(f"{path}: {kind} source needs {key}")
-    if kind == "poissonian":
-        return PhotonSource.poissonian(_get_float(section, "mu", path))
-    if kind == "fock":
-        return PhotonSource.fock(_get_int(section, "n", path))
-    try:
-        pmf = np.array([float(x) for x in section["pmf"].split(",")])
-    except ValueError as exc:
-        raise ConfigError(f"{path}: bad pmf list") from exc
-    return PhotonSource.custom(pmf)
+    return PhotonSource(kind, **{key: _SECTIONS["source"][key](section, key, path)})

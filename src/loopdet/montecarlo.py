@@ -30,7 +30,6 @@ grouped into blocks changes no output byte.
 from __future__ import annotations
 
 import json
-import csv
 import os
 from dataclasses import asdict, dataclass
 from itertools import islice
@@ -38,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .clickstats import MAX_BINS, MAX_TRIALS, ClickDistribution, PhotonSource
+from .clickstats import ClickDistribution, PhotonSource
 from .device import DeviceParams
 from .errors import (CHANNELS, NONNEGATIVE, POSITIVE_INT, SEED, UNIT, DomainError,
                      ParameterError, check, check_fields, declared)
@@ -54,6 +53,12 @@ BATCH_SIZE = 8192
 #: lock step: it amortises per-call cost, changes no draw, and keeps a block
 #: no larger than the largest single batch.
 _BLOCK_ROWS = 2 ** 17
+
+#: Largest time-of-flight window in bins (a 16-bit histogram), checked as a run starts.
+MAX_BINS = 2 ** 16
+#: Largest Monte Carlo run in pulses: 524,288 batches of 8,192, checked before
+#: the run's batch and job lists are built.
+MAX_TRIALS = 2 ** 32
 
 
 @dataclass(frozen=True)
@@ -448,15 +453,6 @@ def empirical_click_distribution(result: SimulationResult,
     stderr = np.sqrt(pmf * (1.0 - pmf) / result.n_trials)
     return EmpiricalClickDistribution(distribution=ClickDistribution(pmf),
                                       stderr=stderr, n_trials=result.n_trials)
-
-
-def histogram_to_csv(hist: TofHistogram, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin_index", "time_ns", "count", "probability"])
-        for i, count in enumerate(hist.counts):
-            writer.writerow([i, f"{i * hist.bin_width_ns:.6g}", int(count),
-                             repr(float(count / hist.n_trials))])
 
 
 def histogram_to_json(hist: TofHistogram, path, *, seed: int | None = None,

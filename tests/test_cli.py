@@ -517,6 +517,20 @@ class TestSimulateTofCommand:
         counts = np.array([int(r["count"]) for r in rows])
         assert counts[20] > 0 and counts[32] > 0  # channels 1 and 2
 
+    def test_csv_bytes(self, capsys, tmp_path):
+        # The histogram goes through the one table writer, so its lines end in
+        # LF like every other CLI table; its own writer used to end them in CR LF.
+        # A declared change of the random stream re-records this pin too.
+        out = tmp_path / "tof.csv"
+        code, _, _ = run(capsys, "simulate-tof", "--seed", "3", "--mu", "4.26",
+                         "--trials", "2000", "--out", str(out))
+        assert code == EXIT_OK
+        data = out.read_bytes()
+        assert data.startswith(b"bin_index,time_ns,count,probability\n0,0,0,0.0\n")
+        assert b"\r" not in data
+        assert hashlib.sha256(data).hexdigest() == \
+            "18da376cf1ac64f6a5b279ed59b77dc795e35d49ec56f426e84a548895bbc2de"
+
     def test_json_histogram_metadata(self, capsys, tmp_path):
         out = tmp_path / "tof.json"
         code, _, _ = run(capsys, "simulate-tof", "--seed", "3", "--mu", "1.0",

@@ -18,9 +18,10 @@ import loopdet
 from loopdet import (ChannelProfile, ClickDistribution, CouplerSetting, DeviceParams,
                      PhotonSource, SimSettings, reference_device)
 from loopdet import errors, montecarlo
-from loopdet.clickstats import MAX_TRIALS, binomial_matrix
+from loopdet.clickstats import SOURCE_FIELDS, binomial_matrix
 from loopdet.cli import EXIT_CONFIG, EXIT_DATA, EXIT_DOMAIN, EXIT_OK, main
 from loopdet.errors import DataError, DomainError, LoopdetError, ParameterError
+from loopdet.montecarlo import MAX_TRIALS
 from loopdet.postselect import acceptance_probability, herald_acceptance_from_mc
 
 #: The hostile values: NaN, the infinities, a negative zero, the largest
@@ -29,19 +30,24 @@ HOSTILE = [math.nan, math.inf, -math.inf, -0.0, 1e308, 5e-324, True, 1.5, 2 ** 6
 values = st.one_of(st.sampled_from(HOSTILE), st.floats(), st.integers(-2, 40))
 
 
-@pytest.mark.parametrize("cls,exempt", [(DeviceParams, "coupler"), (CouplerSetting, "r"),
-                                        (SimSettings, None)])
+#: The checked dataclasses, each with its fields that declare no domain.
+DECLARING = [(DeviceParams, ("coupler",)), (CouplerSetting, ("r",)), (SimSettings, ()),
+             (PhotonSource, ("kind", "pmf"))]
+
+
+@pytest.mark.parametrize("cls,exempt", DECLARING, ids=[
+    f"{cls.__name__}-{','.join(exempt) or None}" for cls, exempt in DECLARING])
 def test_every_field_declares_a_domain(cls, exempt):
     # A new field without a domain would skip the checker and the run-file
     # reader's int/float choice.
     for f in dataclasses.fields(cls):
-        assert (f.name == exempt) != ("domain" in f.metadata), f.name
+        assert (f.name in exempt) != ("domain" in f.metadata), f.name
 
 
 def test_readme_lists_each_declared_domain():
     # The README's list of field domains is the declarations, read back.
     by_domain = {}
-    for cls in (DeviceParams, CouplerSetting, SimSettings):
+    for cls, _ in DECLARING:
         for f in dataclasses.fields(cls):
             if "domain" in f.metadata:
                 by_domain.setdefault(f.metadata["domain"], []).append(f"`{f.name}`")
@@ -114,6 +120,23 @@ def test_value_outside_its_domain_refused(call):
         call()
 
 
+@pytest.mark.parametrize("call", [
+    lambda: loopdet.postselect(PhotonSource("custom", pmf=np.array([0.0, 3.0])), PROFILE),
+    lambda: loopdet.custom_click_distribution(
+        PhotonSource("custom", pmf=np.array([0.5, 0.7])), PROFILE),
+    lambda: loopdet.postselect(PhotonSource("poissonian", mu=-1.0), PROFILE),
+    lambda: loopdet.postselect(PhotonSource("poissonian", mu=math.nan), PROFILE),
+    lambda: loopdet.postselect(PhotonSource("Fock", n=3), PROFILE)],
+    ids=["pmf-sums-to-3", "pmf-sums-to-1.2", "mu-negative", "mu-nan", "kind-Fock"])
+def test_source_built_by_its_constructor_is_checked(call):
+    # The constructor used to check nothing: the pmf summing to 3 gave a
+    # herald_rate of 1.432, the one summing to 1.2 was renormalised with a
+    # dropped_mass of 0, mu = -1 or NaN raised a bare ValueError and kind
+    # "Fock" an AttributeError.
+    with pytest.raises(ParameterError):
+        call()
+
+
 @pytest.mark.parametrize("n", [math.inf, -math.inf, math.nan, [1, math.inf], True,
                                np.bool_(True), 2 ** 64])
 def test_acceptance_probability_refuses_non_counts(n):
@@ -169,9 +192,11 @@ def test_trials_above_max_refused_before_any_batch(no_batch_runs, capsys, tmp_pa
 
 
 def check_finite(out):
-    """Every number in ``out`` is finite and every click pmf sums to 1."""
+    """Every number in ``out`` is finite and every click or source pmf sums to 1."""
     if isinstance(out, ClickDistribution):
         assert abs(out.p_click.sum() - 1.0) <= 1e-9
+    if isinstance(out, PhotonSource) and out.kind == "custom":
+        assert abs(out.pmf.sum() - 1.0) <= 1e-9
     if dataclasses.is_dataclass(out):
         out = [getattr(out, f.name) for f in dataclasses.fields(out)]
     if isinstance(out, dict):
@@ -240,6 +265,11 @@ CONTRACT = {
         s, s.pmf_array(), loopdet.source_multi_photon_content(s)))(PhotonSource.poissonian(v)),
     "PhotonSource.fock": lambda v: PhotonSource.fock(v).pmf_array(),
     "PhotonSource.custom": lambda v: PhotonSource.custom([v, 1.0]).pmf_array(),
+    **{f"PhotonSource.{name}": lambda v, kind=kind, name=name: (lambda s: (
+        s, s.pmf_array(), loopdet.custom_click_distribution(s, PROFILE),
+        loopdet.source_multi_photon_content(s)))(
+        PhotonSource(kind, **{name: [v, 1.0] if name == "pmf" else v}))
+       for kind, name in SOURCE_FIELDS.items()},
     "pmf_array": lambda v: PhotonSource.poissonian(1.0).pmf_array(v),
     "channel_transmissions": lambda v: loopdet.channel_transmissions(GOOD, v),
     "poisson_click_distribution": lambda v: loopdet.poisson_click_distribution(v, PROFILE),

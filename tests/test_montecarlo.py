@@ -25,8 +25,8 @@ from loopdet import (
     run_simulation,
     total_transmission,
 )
-from loopdet.clickstats import MAX_BINS, MAX_PHOTONS
-from loopdet.montecarlo import (BATCH_SIZE, ORIGIN_AFTERPULSE, ORIGIN_DARK,
+from loopdet.clickstats import MAX_PHOTONS
+from loopdet.montecarlo import (BATCH_SIZE, MAX_BINS, ORIGIN_AFTERPULSE, ORIGIN_DARK,
                                 _batch_rng, _resolve_flagged, window_clicks)
 from loopdet.postselect import herald_acceptance_from_mc
 from loopdet.errors import DomainError, ParameterError
