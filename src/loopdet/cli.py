@@ -28,15 +28,14 @@ import numpy as np
 
 from . import __version__
 from .calibrate import calibrate_from_channels, read_channel_csv
-from .clickstats import (ClickDistribution, PhotonSource, _poisson_click_pmfs,
+from .clickstats import (ACCEPT_RULES, ClickDistribution, PhotonSource, _poisson_click_pmfs,
                          multi_photon_content, source_multi_photon_content)
 from .config import RunConfig, load_config
-from .device import _series, channel_transmissions, total_transmission
+from .device import _normalized, _series, channel_transmissions, total_transmission
 from .entropy import optimize_ratio
-from .errors import (ConfigError, DataError, DegenerateDeviceError, DomainError,
-                     UndefinedContentError)
+from .errors import ConfigError, DataError, DomainError, UndefinedContentError
 from .montecarlo import accumulate_histogram, histogram_to_json, run_simulation
-from .postselect import ACCEPT_RULES, wm_curve
+from .postselect import wm_curve
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -97,10 +96,7 @@ def cmd_channels(args) -> int:
     n = args.n_channels
     r = _parse_grid(args.r_sweep, "r") if args.r_sweep else args.r
     h, remainder = _series(cfg.device, n, r)
-    total = h.sum(axis=-1) + remainder
-    if np.any(total <= 0.0):
-        raise DegenerateDeviceError("total transmission is zero")
-    H, rest = h / total[..., None], remainder / total
+    H, rest = _normalized(h, remainder)
     if args.r_sweep:
         columns = ["r"] + [f"H_{k}" for k in range(1, n + 1)] + ["H_rest"]
         rows = np.column_stack([r, H, rest]).tolist()
@@ -192,8 +188,7 @@ def cmd_postselect(args) -> int:
     profile = channel_transmissions(cfg.device, args.n_channels)
     rows = wm_curve(grid, profile, rule=args.rule,
                     signal_transmission=args.signal_transmission)
-    columns = ["mu", "cm_in", "cm_out", "w_M", "herald_rate"]
-    _write_table([[row[c] for c in columns] for row in rows], columns,
+    _write_table([list(row.values()) for row in rows], list(rows[0]),
                  cfg.out_format, cfg.out_path)
     return EXIT_OK
 

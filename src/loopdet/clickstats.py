@@ -10,7 +10,7 @@ content c_M = pM / (p1 + pM).  Every log-factorial comes from one table,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -23,14 +23,17 @@ from .errors import (COUNT, NONNEGATIVE, POSITIVE, POSITIVE_INT, UNIT, Degenerat
 #: Source kind -> the one field besides ``kind`` that it reads.
 SOURCE_FIELDS = {"poissonian": "mu", "fock": "n", "custom": "pmf"}
 
+#: Supported herald accept rules.
+ACCEPT_RULES = ("exactly-one", "one-or-more", "first-channel-only")
+
 
 @dataclass(frozen=True)
 class PhotonSource:
     """Input photon-number statistics.
 
     One of a Poissonian pulse of mean ``mu``, a Fock state of ``n`` photons,
-    or an explicit pmf over n = 0..n_max, nonnegative and summing to 1
-    within 1e-9; every source is checked when it is built.
+    or an int or float pmf over n = 0..n_max, nonnegative, summing to 1 within
+    1e-9; a field its kind does not read holds its default; checked when built.
     """
 
     kind: str
@@ -42,13 +45,20 @@ class PhotonSource:
         if not (isinstance(self.kind, str) and self.kind in SOURCE_FIELDS):
             raise ParameterError(f"kind must be one of {', '.join(SOURCE_FIELDS)}, "
                                  f"got {self.kind!r}")
+        if any((v := getattr(self, f.name)) is not f.default and not np.array_equal(v, f.default)
+               for f in fields(self)[1:] if f.name != SOURCE_FIELDS[self.kind]):
+            raise ParameterError(f"a {self.kind} source reads only {SOURCE_FIELDS[self.kind]}")
         check_fields(self)
         object.__setattr__(self, "mu", float(self.mu))
         object.__setattr__(self, "n", int(self.n))
         if self.kind == "custom":
-            pmf = np.asarray(self.pmf, dtype=float)
-            if pmf.ndim != 1 or pmf.size == 0:
-                raise ParameterError("pmf must be a nonempty 1-d sequence")
+            try:  # complex, text or object pmfs are refused, not cast: no warning filter decides
+                pmf = np.asarray(self.pmf)
+            except ValueError:  # a ragged sequence
+                pmf = None
+            if pmf is None or pmf.dtype.kind not in "biuf" or pmf.ndim != 1 or pmf.size == 0:
+                raise ParameterError("pmf must be a nonempty 1-d array of integers or floats")
+            pmf = pmf.astype(float)
             if not np.all(pmf >= 0):
                 raise ParameterError("pmf has negative or NaN entries")
             if abs(pmf.sum() - 1.0) > 1e-9:

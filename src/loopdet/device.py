@@ -207,12 +207,17 @@ def total_transmission(params: DeviceParams) -> float:
     return float(h1 + h2 / (1.0 - rho))
 
 
+def _normalized(h, remainder):
+    """(H, H_rest): channels h (last axis) and remainder over T = sum(h) + remainder."""
+    total = h.sum(axis=-1) + remainder
+    if np.any(total <= 0.0):
+        raise DegenerateDeviceError("total transmission is zero")
+    return h / total[..., None], remainder / total
+
+
 def normalized_channels(profile: ChannelProfile) -> np.ndarray:
     """Normalized channel probabilities H_k = h_k / T.
 
     Together with the normalized remainder these sum to 1 exactly.
     """
-    total = profile.total
-    if total <= 0.0:
-        raise DegenerateDeviceError("total transmission is zero")
-    return profile.h / total
+    return _normalized(profile.h, profile.remainder)[0]

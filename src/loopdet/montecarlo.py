@@ -31,13 +31,14 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
+from functools import partial
 from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
 
-from .clickstats import ClickDistribution, PhotonSource
+from .clickstats import ACCEPT_RULES, ClickDistribution, PhotonSource, _check_photons
 from .device import DeviceParams
 from .errors import (CHANNELS, NONNEGATIVE, POSITIVE_INT, SEED, UNIT, DomainError,
                      ParameterError, check, check_fields, declared)
@@ -441,6 +442,30 @@ def _window_tally(n_channels, params, settings, first_batch, n_photons, fast, re
                      np.count_nonzero(clicks[pulse[channel == 1]] == 1)])
 
 
+def herald_acceptance_from_mc(params: DeviceParams, n_max: int,
+                              rule: str, n_trials: int, seed: int,
+                              n_channels: int = 15,
+                              workers: int = 1) -> np.ndarray:
+    """Empirical P(accept | n) for n = 0..n_max from noisy herald runs.
+
+    Used instead of the analytic Fock statistics when dark counts and
+    afterpulses in the herald arm should be taken into account.  Photon
+    number n runs on seed + n; the batches of all n share one job list, and
+    each block is tallied where it is simulated.
+    """
+    if rule not in ACCEPT_RULES:
+        raise ParameterError(f"unknown accept rule {rule!r}")
+    n_max = _check_photons(n_max, f"n_max = {n_max}")  # before any run, not at n_max
+    check("n_channels", n_channels, CHANNELS)
+    check("seed", seed, SEED)  # runs use seed + n, which would take True as 1
+    runs = [(PhotonSource.fock(n), seed + n) for n in range(n_max + 1)]
+    zero, one, first = np.transpose([sum(parts) for parts in _reduced_runs(
+        runs, params, n_trials, workers, SimSettings(), partial(_window_tally, n_channels))])
+    # one-or-more as 1 - P(0 clicks) rounds as the empirical 1 - p0 does
+    return {"exactly-one": one / n_trials, "one-or-more": 1.0 - zero / n_trials,
+            "first-channel-only": first / n_trials}[rule]
+
+
 def empirical_click_distribution(result: SimulationResult,
                                  n_channels: int = 15) -> EmpiricalClickDistribution:
     """Pmf of the number of :func:`window_clicks` per pulse, from their pulse runs."""
@@ -455,17 +480,9 @@ def empirical_click_distribution(result: SimulationResult,
                                       stderr=stderr, n_trials=result.n_trials)
 
 
-def histogram_to_json(hist: TofHistogram, path, *, seed: int | None = None,
-                      params: DeviceParams | None = None) -> None:
-    meta = {
-        "bin_width_ns": hist.bin_width_ns,
-        "n_bins": hist.n_bins,
-        "n_trials": hist.n_trials,
-        "overflow": hist.overflow,
-        "seed": seed,
-    }
-    if params is not None:
-        meta["params"] = asdict(params)
+def histogram_to_json(hist: TofHistogram, path, *, seed: int, params: DeviceParams) -> None:
+    meta = {f.name: getattr(hist, f.name) for f in fields(hist) if f.name != "counts"}
+    meta.update(n_bins=hist.n_bins, seed=seed, params=asdict(params))
     payload = {"meta": meta, "counts": [int(c) for c in hist.counts]}
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

@@ -14,18 +14,14 @@ conditioning kernel on one pmf, ``wm_curve`` on the pmfs of its whole mu grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .clickstats import PhotonSource, _check_photons, _poisson_rows, binomial_matrix
-from .device import ChannelProfile, DeviceParams
-from .errors import CHANNELS, SEED, NoAcceptanceError, ParameterError, check
-from .montecarlo import SimSettings, _reduced_runs, _window_tally
-
-#: Supported herald accept rules.
-ACCEPT_RULES = ("exactly-one", "one-or-more", "first-channel-only")
+from .clickstats import ACCEPT_RULES, PhotonSource, _poisson_rows, binomial_matrix
+from .device import ChannelProfile
+from .errors import NoAcceptanceError, ParameterError
+from .montecarlo import herald_acceptance_from_mc  # noqa: F401  the bench reaches it here
 
 
 def acceptance_probability(rule: str, n, profile: ChannelProfile):
@@ -55,9 +51,9 @@ def acceptance_probability(rule: str, n, profile: ChannelProfile):
 
 @dataclass(frozen=True)
 class PostselectResult:
-    cm_in: float
-    cm_out: float
-    w_M: float  # cm_out / cm_in; NaN when cm_in = 0
+    cm_in: float  # NaN when the pmf has no mass at n >= 1
+    cm_out: float  # likewise
+    w_M: float  # cm_out / cm_in; NaN when cm_in is 0 or either is NaN
     herald_rate: float
     conditioned_pmf: np.ndarray
     dropped_mass: float = 0.0  # source mass beyond the photon-number cut-off
@@ -100,8 +96,8 @@ def _condition(pmfs, sizes, accept, transmission):
         for row, size in zip(out, sizes):
             row[:size] = _thin_pmf(row[:size], transmission)
     both, stop = np.concatenate([pmfs, out]), np.concatenate([sizes, sizes])
-    ge1, ge2 = _sums(both, 1, stop), _sums(both, 2, stop)
-    cm_in, cm_out = np.divide(ge2, ge1, out=np.zeros_like(ge1), where=ge1 > 0.0).reshape(2, -1)
+    ge1, ge2 = (_sums(both, k, stop).reshape(2, -1) for k in (1, 2))
+    cm_in, cm_out = np.divide(ge2, ge1, out=np.full_like(ge1, math.nan), where=ge1 > 0.0)
     w_M = np.divide(cm_out, cm_in, out=np.full_like(cm_in, math.nan), where=cm_in > 0.0)
     return np.where(fired, [cm_in, cm_out, w_M, rate], math.nan), out
 
@@ -130,30 +126,6 @@ def postselect(source: PhotonSource, herald_profile: ChannelProfile,
                             dropped_mass=max(1.0 - float(pmf.sum()), 0.0))
 
 
-def herald_acceptance_from_mc(params: DeviceParams, n_max: int,
-                              rule: str, n_trials: int, seed: int,
-                              n_channels: int = 15,
-                              workers: int = 1) -> np.ndarray:
-    """Empirical P(accept | n) for n = 0..n_max from noisy herald runs.
-
-    Used instead of the analytic Fock statistics when dark counts and
-    afterpulses in the herald arm should be taken into account.  Photon
-    number n runs on seed + n; the batches of all n share one job list, and
-    each block is tallied where it is simulated.
-    """
-    if rule not in ACCEPT_RULES:
-        raise ParameterError(f"unknown accept rule {rule!r}")
-    n_max = _check_photons(n_max, f"n_max = {n_max}")  # before any run, not at n_max
-    check("n_channels", n_channels, CHANNELS)
-    check("seed", seed, SEED)  # runs use seed + n, which would take True as 1
-    runs = [(PhotonSource.fock(n), seed + n) for n in range(n_max + 1)]
-    zero, one, first = np.transpose([sum(parts) for parts in _reduced_runs(
-        runs, params, n_trials, workers, SimSettings(), partial(_window_tally, n_channels))])
-    # one-or-more as 1 - P(0 clicks) rounds as the empirical 1 - p0 does
-    return {"exactly-one": one / n_trials, "one-or-more": 1.0 - zero / n_trials,
-            "first-channel-only": first / n_trials}[rule]
-
-
 def wm_curve(mu_grid, herald_profile: ChannelProfile,
              rule: str = "exactly-one",
              signal_transmission: float = 1.0,
@@ -169,6 +141,6 @@ def wm_curve(mu_grid, herald_profile: ChannelProfile,
     accept = (acceptance_probability(rule, np.arange(pmfs.shape[1]), herald_profile)
               if acceptance is None else _checked_table(acceptance))
     values, _ = _condition(pmfs, cuts + 1, accept, signal_transmission)
-    keys = ("cm_in", "cm_out", "w_M", "herald_rate")
+    keys = [f.name for f in fields(PostselectResult)[:4]]  # the rows of _condition
     return [{"mu": source.mu, **dict(zip(keys, row))}
             for source, row in zip(sources, values.T.tolist())]

@@ -126,15 +126,39 @@ def test_value_outside_its_domain_refused(call):
         PhotonSource("custom", pmf=np.array([0.5, 0.7])), PROFILE),
     lambda: loopdet.postselect(PhotonSource("poissonian", mu=-1.0), PROFILE),
     lambda: loopdet.postselect(PhotonSource("poissonian", mu=math.nan), PROFILE),
-    lambda: loopdet.postselect(PhotonSource("Fock", n=3), PROFILE)],
-    ids=["pmf-sums-to-3", "pmf-sums-to-1.2", "mu-negative", "mu-nan", "kind-Fock"])
+    lambda: loopdet.postselect(PhotonSource("Fock", n=3), PROFILE),
+    lambda: PhotonSource.custom(["a", "b"]),
+    lambda: PhotonSource("fock", n=3, mu=5.0, pmf="junk"),
+    lambda: PhotonSource("poissonian", mu=1.0, pmf=[1.0])],
+    ids=["pmf-sums-to-3", "pmf-sums-to-1.2", "mu-negative", "mu-nan", "kind-Fock",
+         "pmf-text", "fock-with-mu-and-pmf", "poissonian-with-pmf"])
 def test_source_built_by_its_constructor_is_checked(call):
     # The constructor used to check nothing: the pmf summing to 3 gave a
     # herald_rate of 1.432, the one summing to 1.2 was renormalised with a
     # dropped_mass of 0, mu = -1 or NaN raised a bare ValueError and kind
-    # "Fock" an AttributeError.
+    # "Fock" an AttributeError.  A text pmf raised a bare ValueError, and a
+    # field the kind does not read was kept.
     with pytest.raises(ParameterError):
         call()
+
+
+@pytest.mark.parametrize("action", ["error", "ignore", "default"])
+def test_complex_pmf_refused_under_any_warning_filter(action):
+    # [1 + 0j] raised a bare TypeError; a complex array was cast to its real
+    # part, or raised ComplexWarning, as the filters said.
+    with warnings.catch_warnings():
+        warnings.simplefilter(action)
+        for pmf in ([1 + 0j], np.array([1 + 0j]), np.array([0.5, 0.5 + 0j])):
+            with pytest.raises(ParameterError, match="integers or floats"):
+                PhotonSource.custom(pmf)
+
+
+def test_unread_field_at_its_default_is_accepted():
+    fock = PhotonSource("fock", n=3, mu=0, pmf=None)
+    assert (fock.mu, fock.n, fock.pmf) == (0.0, 3, None)
+    assert dataclasses.replace(fock, n=4).n == 4
+    assert PhotonSource("poissonian", mu=1.0, n=0.0).mu == 1.0
+    assert dataclasses.replace(PhotonSource.custom([0.5, 0.5]), pmf=[1.0]).pmf.tolist() == [1.0]
 
 
 @pytest.mark.parametrize("n", [math.inf, -math.inf, math.nan, [1, math.inf], True,

@@ -1,9 +1,11 @@
 """Heralded postselection: acceptance rules, conditioning, and the
 multi-photon reduction factor."""
 
+import ast
 import importlib
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -129,6 +131,24 @@ class TestPostselect:
         res = postselect(PhotonSource.fock(1), lossless_profile(0.5, 20))
         assert res.cm_in == 0.0
         assert math.isnan(res.w_M)
+
+    def test_no_mass_at_one_or_more_gives_nan_content(self, ref_params):
+        # A herald that fires on vacuum, as a dark count does, leaves c_M
+        # undefined where the pmf has no mass at n >= 1; the kernel read 0.
+        prof = channel_transmissions(ref_params, 15)
+        noisy = herald_acceptance_from_mc(reference_device(dark_prob_per_bin=1e-3), 0,
+                                          "exactly-one", 2000, 3)
+        assert noisy[0] > 0.0
+        for table in ([0.5], noisy):
+            res = postselect(PhotonSource.fock(0), prof, acceptance=table)
+            assert [math.isnan(v) for v in (res.cm_in, res.cm_out, res.w_M)] == [True] * 3
+            assert res.herald_rate == table[0]
+        row = wm_curve([0.0, 1.0], prof, acceptance=[0.5] * 32)[0]
+        assert [math.isnan(row[k]) for k in ("cm_in", "cm_out", "w_M")] == [True] * 3
+        assert row["herald_rate"] == 0.5
+        # Accepted only on vacuum: c_M in is defined, c_M out is not.
+        res = postselect(PhotonSource.poissonian(1.0), prof, acceptance=[0.5] + [0.0] * 31)
+        assert res.cm_in > 0.0 and math.isnan(res.cm_out) and math.isnan(res.w_M)
 
     def test_lossless_herald_suppresses_multiphoton(self):
         # With an efficient herald the exactly-one rule strongly favors
@@ -270,6 +290,19 @@ class TestHeraldAcceptanceFromMc:
         with pytest.raises(ParameterError):
             herald_acceptance_from_mc(ref_params, 2, "two-or-more", 100, 1)
 
+    def test_the_engine_owns_the_table(self):
+        # loopdet.postselect keeps the name, by import, for the benchmark,
+        # and takes no private name from the engine.
+        mc, ps, cs = (importlib.import_module(f"loopdet.{m}")
+                      for m in ("montecarlo", "postselect", "clickstats"))
+        assert ps.herald_acceptance_from_mc is mc.herald_acceptance_from_mc
+        assert mc.herald_acceptance_from_mc.__module__ == "loopdet.montecarlo"
+        assert ps.ACCEPT_RULES is mc.ACCEPT_RULES is cs.ACCEPT_RULES
+        tree = ast.parse(Path(ps.__file__).read_text())
+        assert not [a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                    and node.module == "montecarlo" for a in node.names
+                    if a.name.startswith("_")]
+
     def test_photon_ceiling_checked_before_any_run(self, ref_params,
                                                    monkeypatch):
         import loopdet.montecarlo as mc
@@ -361,7 +394,7 @@ class TestWmCurve:
             joint = pmf * acceptance_probability(rule, np.arange(pmf.size), prof)
             rate = joint.sum()
             out = joint / rate if transmission == 1.0 else _thin_pmf(joint / rate, transmission)
-            cm_in, cm_out = (p[2:].sum() / p[1:].sum() if p[1:].sum() > 0 else 0.0
+            cm_in, cm_out = (p[2:].sum() / p[1:].sum() if p[1:].sum() > 0 else math.nan
                              for p in (pmf, out))
             expected = np.array([cm_in, cm_out, cm_out / cm_in if cm_in > 0 else math.nan, rate])
             got = np.array([row[k] for k in ("cm_in", "cm_out", "w_M", "herald_rate")])
