@@ -106,10 +106,10 @@ class PhotonSource:
 
 
 #: Largest photon number a source may reach: the Poisson cut-off, the Fock
-#: n or the last custom pmf entry.  The Monte Carlo holds about 30 bytes per
-#: photon of a block, which is one 8,192-pulse batch or at most 2**17
-#: expected pulses plus photons, so 1,000 photons per pulse peak near
-#: 270 MB; the click kernel's (n+1) x (n+1) binomial matrices take 8 MB.
+#: n or the last custom pmf entry.  The Monte Carlo holds about 4 bytes per
+#: photon of a block (its pulse index), which is one 8,192-pulse batch or at
+#: most 2**17 expected pulses plus photons, so 1,000 photons per pulse trace
+#: about 32 MiB; the click kernel's (n+1) x (n+1) binomial matrices take 8 MB.
 MAX_PHOTONS = 1000
 #: log(n!) for n = 0..MAX_PHOTONS, built once at import (8 KB) and sliced.
 _LOG_FACT = np.array([math.lgamma(n + 1.0) for n in range(MAX_PHOTONS + 1)])

@@ -9,6 +9,10 @@ merge into one click, the dead time paralyzes the detector, dark counts
 appear uniformly over the acquisition window, and every registered click
 may trigger at most one afterpulse at an exponentially distributed delay
 (suppressed while the detector is dead), its flag and delay from one variate.
+A pass takes its live photons in slices of _CHUNK_ROWS rows, each batch
+drawing its variates in row order, and writes each slice's survivors over
+the front of the photons' pulse array: a block holds about 4 bytes per
+photon, and the slicing changes no draw.
 
 Pulses without noise candidates register every channel click.  The other
 pulses' candidates and afterpulses are sorted once by (pulse, time), a
@@ -54,6 +58,8 @@ BATCH_SIZE = 8192
 #: lock step: it amortises per-call cost, changes no draw, and keeps a block
 #: no larger than the largest single batch.
 _BLOCK_ROWS = 2 ** 17
+#: Rows of a routing pass taken at once (256 KB of variates); changes no draw.
+_CHUNK_ROWS = 2 ** 15
 
 #: Largest time-of-flight window in bins (a 16-bit histogram), checked as a run starts.
 MAX_BINS = 2 ** 16
@@ -143,29 +149,36 @@ def _route_photons(params: DeviceParams, uniform, pulse_of_photon: np.ndarray,
     live photon: u < p_det is a click in channel k, the next p_loop reaches
     pass k + 1, the rest is lost.  Pass 1 enters port 1 through t0, later
     passes port 2.  ``uniform(a)`` draws one variate per row of the
-    pulse-sorted ``a``."""
+    pulse-sorted ``a``.  Consumes ``pulse_of_photon``: each pass writes its
+    survivors over its front, one slice of _CHUNK_ROWS rows at a time."""
     c, pulse, reach = params.coupler, pulse_of_photon, params.t0
-    det_pulse = []
+    det_pulse, det_channel = [], []
     k = 1
     while pulse.size and k <= max_channels:
         t_exit, t_stay = (c.t13, c.t14) if k == 1 else (c.t23, c.t24)
         p_det = reach * params.theta * t_exit * params.eta
         p_loop = reach * params.theta * t_stay * params.tl
-        u = uniform(pulse)
-        to_det = u < p_det
-        # np.compress beats a boolean index on numpy 2.4 unless the mask is nearly all true.
-        hit = np.compress(to_det, pulse)
-        # Each pass keeps the pulse order of pulse_of_photon, so photons of
-        # one pulse in this channel are adjacent.
-        first = np.ones(hit.size, dtype=bool)
-        np.not_equal(hit[1:], hit[:-1], out=first[1:])
-        det_pulse.append(hit[first])
-        pulse = np.compress(~to_det & (u < p_det + p_loop), pulse)
+        live, last = 0, -1  # survivors so far, and the pass's last hit pulse
+        for lo in range(0, pulse.size, _CHUNK_ROWS):
+            rows = pulse[lo:lo + _CHUNK_ROWS]
+            u = uniform(rows)
+            to_det = u < p_det
+            # np.compress beats a boolean index on numpy 2.4 unless the mask is nearly all true.
+            hit = np.compress(to_det, rows)
+            # Each pass keeps the pulse order of pulse_of_photon, so photons of
+            # one pulse in this channel are adjacent, across slices too.
+            det_pulse.append(hit[hit != np.concatenate(([last], hit[:-1]))])
+            det_channel.append(k)
+            last = hit[-1] if hit.size else last
+            kept = np.compress(~to_det & (u < p_det + p_loop), rows)
+            pulse[live:live + kept.size] = kept
+            live += kept.size
+        pulse = pulse[:live]
         reach = 1.0
         k += 1
 
     return (np.concatenate(det_pulse or [pulse]),
-            np.repeat(np.arange(1, k, dtype=np.int32), [a.size for a in det_pulse]))
+            np.repeat(np.array(det_channel, np.int32), [a.size for a in det_pulse]))
 
 
 def _click_time(params: DeviceParams, settings: SimSettings, channel):

@@ -6,6 +6,7 @@ import dataclasses
 import heapq
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from loopdet import (
     SimSettings,
     accumulate_histogram,
     channel_transmissions,
+    custom_click_distribution,
     empirical_click_distribution,
     false_cm_bound,
     poisson_click_distribution,
@@ -152,6 +154,20 @@ class TestAgainstAnalytics:
                                       for j in range(n_batches // 2))
         one_sided_5_sigma = 0.5 * math.erfc(5 / math.sqrt(2))
         assert one_sided_5_sigma <= tail <= 1 - one_sided_5_sigma
+
+    def test_custom_source(self):
+        # The custom pmf's photon numbers come from rng.choice; the run is
+        # the one tests/test_golden.py pins.  Its mean photon number and
+        # p0..p3 must match the source and the analytic pmf at |z| <= 5.
+        params, source = noiseless(reference_device()), PhotonSource.custom([0.2, 0.3, 0.1, 0.4])
+        res = run_simulation(source, params, 400_000, seed=23)
+        n = np.arange(4)
+        mean, var = source.pmf @ n, source.pmf @ n ** 2 - (source.pmf @ n) ** 2
+        assert abs(res.n_photons.mean() - mean) <= 5 * math.sqrt(var / res.n_trials)
+        emp = empirical_click_distribution(res, n_channels=15)
+        ana = custom_click_distribution(source, channel_transmissions(params, 15))
+        z = (emp.distribution.p_click[:4] - ana.p_click[:4]) / emp.stderr[:4]
+        assert np.abs(z).max() <= 5
 
     def test_fock_source(self):
         params = noiseless(reference_device())
@@ -586,6 +602,20 @@ class TestPhotonCeiling:
         res = run_simulation(PhotonSource.fock(MAX_PHOTONS), ref_params, 2,
                              seed=1)
         assert res.n_photons.tolist() == [MAX_PHOTONS] * 2
+
+    def test_routing_memory_per_photon(self, ref_params):
+        # A routing pass works in slices of _CHUNK_ROWS rows and compacts its
+        # survivors in place, so a one-batch Fock-300 run holds little beyond
+        # the 4-byte pulse index of each photon.
+        n = 300
+        run_simulation(PhotonSource.fock(n), ref_params, BATCH_SIZE, seed=1)
+        tracemalloc.start()
+        try:
+            run_simulation(PhotonSource.fock(n), ref_params, BATCH_SIZE, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * n * BATCH_SIZE
 
 
 class TestPoolBound:
