@@ -8,7 +8,8 @@
     loopdet postselect    heralded multi-photon reduction curve
 
 Exit codes: 0 success, 2 configuration/usage error or a file that cannot be
-opened, 3 model-domain error, 4 data error.
+opened, 3 model-domain error or a Monte Carlo run too large for memory (lower
+``--trials``), 4 data error.
 
 The parser is built once, at import, and every ``main`` call parses with it.
 ``channels --r-sweep`` and ``cm-curve`` each evaluate their whole grid in one
@@ -264,6 +265,9 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except MemoryError:
+        print("domain error: the run does not fit in memory; lower --trials", file=sys.stderr)
+        return EXIT_DOMAIN
 
 
 if __name__ == "__main__":

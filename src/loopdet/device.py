@@ -203,15 +203,24 @@ def channel_transmissions(params: DeviceParams,
 def total_transmission(params: DeviceParams) -> float:
     """Closed-form total transmission T = h_1 + h_2 / (1 - rho), the sum
     over all channels; requires theta*tl*t24 < 1."""
-    h1, h2, rho = _geometric(params)
-    return float(h1 + h2 / (1.0 - rho))
+    return float(_total(*_geometric(params)))
+
+
+def _total(h1, h2, rho):
+    """T = h_1 + h_2 / (1 - rho) of _geometric's series, at a scalar or array ratio."""
+    return h1 + h2 / (1.0 - rho)
+
+
+def _normalizer(total):
+    """``total``, scalar or array, refused where it is zero: it cannot normalise."""
+    if np.any(total <= 0.0):
+        raise DegenerateDeviceError("total transmission is zero")
+    return total
 
 
 def _normalized(h, remainder):
     """(H, H_rest): channels h (last axis) and remainder over T = sum(h) + remainder."""
-    total = h.sum(axis=-1) + remainder
-    if np.any(total <= 0.0):
-        raise DegenerateDeviceError("total transmission is zero")
+    total = _normalizer(h.sum(axis=-1) + remainder)
     return h / total[..., None], remainder / total
 
 

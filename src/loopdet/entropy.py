@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .device import ChannelProfile, DeviceParams, _geometric, normalized_channels
-from .errors import DegenerateDeviceError, NoMaximumError
+from .device import (ChannelProfile, DeviceParams, _geometric, _normalizer, _total,
+                     normalized_channels)
+from .errors import NoMaximumError
 
 #: Coarse scan step, and fine-scan points across its maximum's bracket: 1e-6 apart.
 _GRID_STEP = 1e-3
@@ -62,9 +63,7 @@ def optimize_ratio(params: DeviceParams, *, normalized: bool = False) -> Entropy
         h1, h2, rho = _geometric(params, r)
         e = -_plogp(h1) - _plogp(h2) / (1.0 - rho) - h2 * _plogp(rho) / (1.0 - rho) ** 2
         if normalized:
-            total = h1 + h2 / (1.0 - rho)
-            if np.any(total <= 0.0):
-                raise DegenerateDeviceError("total transmission is zero")
+            total = _normalizer(_total(h1, h2, rho))
             e = e / total + np.log(total)
         return e
 

@@ -20,6 +20,8 @@ candidate before an afterpulse at the same time, and swept in array passes,
 one event per pulse per pass; an afterpulse needs its candidate.  A block
 hands both sets to a reducer where it is simulated: run_simulation's sorts
 the events once by pulse, and the herald table's only counts pulses.
+run_simulation builds its result as the blocks arrive, keeping 8 bytes per
+click until the last; the histogram and click pmf read it in _CHUNK_ROWS slices.
 
 Reproducibility contract: trials are processed in fixed-size batches and
 batch b draws from PCG64 child b of the seed's SeedSequence, so results are
@@ -37,7 +39,6 @@ import json
 import os
 from dataclasses import asdict, dataclass, fields
 from functools import partial
-from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -229,7 +230,7 @@ def _simulate_block(reduce, source: PhotonSource, params: DeviceParams,
     """Batches first_batch, first_batch + 1, ... of ``sizes`` pulses in lock
     step: each makes its own stream's draws in order, all else runs once over
     the block, whose pulse b * BATCH_SIZE + i is batch b's pulse i.  Returns
-    ``reduce(params, settings, first_batch, n_photons, fast, resolved)``: the
+    ``reduce(params, settings, n_photons, fast, resolved)``: the block-local
     (pulse, channel) of the channel-major clicks of pulses without noise candidates,
     and the other pulses' registered clicks' (pulse, time, origin), by (pulse, time)."""
     rngs = [_batch_rng(seed, first_batch + b) for b in range(len(sizes))]
@@ -280,16 +281,15 @@ def _simulate_block(reduce, source: PhotonSource, params: DeviceParams,
     u[ap_flag] = -tau * np.log1p(-u[ap_flag] / p_ap)  # inverted to the delay
     resolved = _resolve_flagged(*(np.concatenate(pair) for pair in zip(cand, dark)),
                                 ap_flag, u, params.dead_time_ns)
-    return reduce(params, settings, first_batch, n_photons, fast, resolved)
+    return reduce(params, settings, n_photons, fast, resolved)
 
 
-def _keep_events(params, settings, first_batch, n_photons, fast, resolved):
+def _keep_events(params, settings, n_photons, fast, resolved):
     """``run_simulation``'s reducer: a stable sort by pulse orders the disjoint fast and
     flagged pulses' time-ordered rows; the noise rows' times follow in that order."""
     pulse, origin = (np.concatenate(pair) for pair in zip(fast, resolved[::2]))
     order = np.argsort(pulse, kind="stable")
-    return (np.add(pulse[order], first_batch * BATCH_SIZE, dtype=np.int64), origin[order],
-            np.compress(resolved[2] < 1, resolved[1]), n_photons)
+    return pulse[order], origin[order], np.compress(resolved[2] < 1, resolved[1]), n_photons
 
 
 def _batch_worker(args):
@@ -326,11 +326,11 @@ def _check_times(params: DeviceParams, settings: SimSettings) -> None:
 
 
 def _reduced_runs(runs, params: DeviceParams, n_trials: int, workers: int,
-                  settings: SimSettings, reduce) -> list[list]:
-    """The list of ``reduce``'s results over the blocks of each (source, seed)
-    in ``runs``, per run.  The blocks of all runs form one job list, checked
-    before any runs, so ``workers`` > 1 starts one pool of at most one process
-    per CPU and job, and a worker returns what ``reduce`` keeps."""
+                  settings: SimSettings, reduce):
+    """Yields (i, ``reduce``'s result) over the blocks of runs[i] = (source, seed), in
+    order, as they arrive.  The blocks of all runs form one job list, checked before
+    any runs, so ``workers`` > 1 starts one pool of at most one process per CPU and
+    job, and a worker returns what ``reduce`` keeps."""
     if check("n_trials", n_trials, POSITIVE_INT) > MAX_TRIALS:
         raise DomainError(f"n_trials = {n_trials} exceeds MAX_TRIALS = {MAX_TRIALS}")
     check("workers", workers, POSITIVE_INT)
@@ -343,19 +343,16 @@ def _reduced_runs(runs, params: DeviceParams, n_trials: int, workers: int,
     # one batch.  Raises DomainError above MAX_PHOTONS, before any run.
     means = [s.pmf_array() @ np.arange(s.n_max + 1) for s, _ in runs]
     per_block = [max(1, int(_BLOCK_ROWS // (BATCH_SIZE * (1 + m)))) for m in means]
-    jobs = [(reduce, source, params, settings, seed, b, sizes[b:b + per])
-            for (source, seed), per in zip(runs, per_block)
-            for b in range(0, n_batches, per)]
-
-    def per_run(blocks):
-        return [list(islice(blocks, -(-n_batches // per))) for per in per_block]
-
+    run_of, jobs = zip(*[(i, (reduce, source, params, settings, seed, b, sizes[b:b + per]))
+                         for i, ((source, seed), per) in enumerate(zip(runs, per_block))
+                         for b in range(0, n_batches, per)])
     if workers > 1 and len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(workers, len(jobs),
                                                  os.cpu_count() or 1)) as pool:
-            return per_run(pool.map(_batch_worker, jobs, chunksize=1))
-    return per_run(map(_batch_worker, jobs))
+            yield from zip(run_of, pool.map(_batch_worker, jobs, chunksize=1))
+    else:
+        yield from zip(run_of, map(_batch_worker, jobs))
 
 
 def run_simulation(source: PhotonSource, params: DeviceParams,
@@ -364,10 +361,19 @@ def run_simulation(source: PhotonSource, params: DeviceParams,
     """Simulate ``n_trials`` pulses; deterministic for a given seed and
     settings, independent of ``workers``."""
     settings = settings or SimSettings()
-    parts = list(zip(*_reduced_runs([(source, seed)], params, n_trials, workers, settings,
-                                    _keep_events)[0]))
-    # One column at a time, freeing its parts before the next.
-    pulse, origin, noise_time, n_photons = (np.concatenate(parts.pop(0)) for _ in range(4))
+    n_photons, blocks, start = None, [], 0  # per block: first pulse, pulses, origins, noise times
+    for _, (*kept, photons) in _reduced_runs(
+            [(source, seed)], params, n_trials, workers, settings, _keep_events):
+        if n_photons is None:  # at the first block, so that a refused run allocates none
+            n_photons = np.empty(n_trials, np.int64)
+        n_photons[start:start + photons.size] = photons
+        blocks.append([start, *kept])
+        start += photons.size
+    pulse, at = np.empty(sum(b[1].size for b in blocks), np.int64), 0
+    for b in blocks:  # each block's pulses shifted into place, then freed
+        np.add(b[1], b[0], out=pulse[at:at + b[1].size], dtype=np.int64)
+        at, b[1] = at + b[1].size, None
+    origin, noise_time = (np.concatenate([b.pop(2) for b in blocks]) for _ in range(2))
     time = _click_time(params, settings, origin)  # each time once; the noise's in place
     np.place(time, origin < 1, noise_time)
     return SimulationResult(params=params, settings=settings, seed=seed,
@@ -382,7 +388,11 @@ def accumulate_histogram(result: SimulationResult) -> TofHistogram:
     dropped.  Channel clicks are binned per channel, noise clicks singly.
     """
     p, s, origin = result.params, result.settings, result.origin
-    per_channel = np.bincount(origin - ORIGIN_AFTERPULSE, minlength=2)[2:]
+    per_origin = np.zeros(origin.max(initial=0) - ORIGIN_AFTERPULSE + 1, np.int64)
+    for lo in range(0, origin.size, _CHUNK_ROWS):
+        per_origin += np.bincount(origin[lo:lo + _CHUNK_ROWS] - ORIGIN_AFTERPULSE,
+                                  minlength=per_origin.size)
+    per_channel = per_origin[2:]
     time = np.r_[_click_time(p, s, np.arange(1, per_channel.size + 1)),
                  np.compress(origin < 1, result.time_ns)]
     weight = np.r_[per_channel, np.ones(time.size - per_channel.size, np.int64)]
@@ -442,7 +452,7 @@ def _window_clicks(p: DeviceParams, s: SimSettings, pulse, time, origin, n_chann
     return np.compress(first, pulse), np.compress(first, channel)
 
 
-def _window_tally(n_channels, params, settings, first_batch, n_photons, fast, resolved):
+def _window_tally(n_channels, params, settings, n_photons, fast, resolved):
     """A block's counts of pulses with no window click, with exactly one, and
     with exactly one, in channel 1: the herald's reducer.  Fast clicks sit on
     their window centres, so only the resolved clicks go through the windows."""
@@ -472,8 +482,11 @@ def herald_acceptance_from_mc(params: DeviceParams, n_max: int,
     check("n_channels", n_channels, CHANNELS)
     check("seed", seed, SEED)  # runs use seed + n, which would take True as 1
     runs = [(PhotonSource.fock(n), seed + n) for n in range(n_max + 1)]
-    zero, one, first = np.transpose([sum(parts) for parts in _reduced_runs(
-        runs, params, n_trials, workers, SimSettings(), partial(_window_tally, n_channels))])
+    counts = np.zeros((len(runs), 3), np.int64)
+    for n, block in _reduced_runs(runs, params, n_trials, workers, SimSettings(),
+                                  partial(_window_tally, n_channels)):
+        counts[n] += block
+    zero, one, first = counts.T
     # one-or-more as 1 - P(0 clicks) rounds as the empirical 1 - p0 does
     return {"exactly-one": one / n_trials, "one-or-more": 1.0 - zero / n_trials,
             "first-channel-only": first / n_trials}[rule]
@@ -481,11 +494,18 @@ def herald_acceptance_from_mc(params: DeviceParams, n_max: int,
 
 def empirical_click_distribution(result: SimulationResult,
                                  n_channels: int = 15) -> EmpiricalClickDistribution:
-    """Pmf of the number of :func:`window_clicks` per pulse, from their pulse runs."""
-    pulse, _ = window_clicks(result, n_channels)
-    edge = np.ones(pulse.size + 1, dtype=bool)  # each run's start, and the end
-    np.not_equal(pulse[1:], pulse[:-1], out=edge[1:-1])
-    pmf_counts = np.bincount(np.diff(np.flatnonzero(edge)), minlength=n_channels + 1)
+    """Pmf of the number of :func:`window_clicks` per pulse, from their pulse runs,
+    counted over slices of about _CHUNK_ROWS rows cut at pulse boundaries."""
+    check("n_channels", n_channels, CHANNELS)
+    r = result
+    cut = np.r_[0, np.searchsorted(r.pulse, r.pulse[_CHUNK_ROWS::_CHUNK_ROWS]), r.pulse.size]
+    pmf_counts = np.zeros(n_channels + 1, np.int64)
+    for lo, hi in zip(cut[:-1], cut[1:]):
+        pulse, _ = _window_clicks(r.params, r.settings, r.pulse[lo:hi], r.time_ns[lo:hi],
+                                  r.origin[lo:hi], n_channels)
+        edge = np.ones(pulse.size + 1, dtype=bool)  # each run's start, and the end
+        np.not_equal(pulse[1:], pulse[:-1], out=edge[1:-1])
+        pmf_counts += np.bincount(np.diff(np.flatnonzero(edge)), minlength=n_channels + 1)
     pmf_counts[0] = result.n_trials - pmf_counts.sum()  # the pulses in no run
     pmf = pmf_counts / float(result.n_trials)
     stderr = np.sqrt(pmf * (1.0 - pmf) / result.n_trials)

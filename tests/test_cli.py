@@ -531,6 +531,18 @@ class TestSimulateTofCommand:
         assert hashlib.sha256(data).hexdigest() == \
             "18da376cf1ac64f6a5b279ed59b77dc795e35d49ec56f426e84a548895bbc2de"
 
+    def test_out_of_memory_is_domain_error(self, capsys, tmp_path, monkeypatch):
+        # A run too large for memory exits 3 like one above MAX_TRIALS, not
+        # with a traceback; the engine is patched, so nothing is allocated.
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(loopdet.cli, "run_simulation", no_memory)
+        out = tmp_path / "tof.csv"
+        code, _, err = run(capsys, "simulate-tof", "--seed", "3", "--mu", "1.0",
+                           "--trials", "1000", "--out", str(out))
+        assert code == EXIT_DOMAIN and "--trials" in err and not out.exists()
+
     def test_json_histogram_metadata(self, capsys, tmp_path):
         out = tmp_path / "tof.json"
         code, _, _ = run(capsys, "simulate-tof", "--seed", "3", "--mu", "1.0",

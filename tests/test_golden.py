@@ -297,10 +297,10 @@ def test_afterpulse_device_bytes(device, workers):
 @pytest.mark.parametrize("block_rows,chunk_rows", [
     (0, mc._CHUNK_ROWS), (2 ** 40, mc._CHUNK_ROWS), (mc._BLOCK_ROWS, 97)],
     ids=["one-batch-per-block", "one-block", "chunk-97"])
-def test_block_grouping_bytes(block_rows, chunk_rows, monkeypatch):
+def test_block_grouping_bytes(block_rows, chunk_rows, monkeypatch, tmp_path):
     # Blocks only group batches for compute, and a routing pass's slices
     # only cut its rows; every batch keeps its stream.  97 rows cut through
-    # pulses and batches.
+    # pulses and batches, and the histogram's and the pmf's slices too.
     monkeypatch.setattr(mc, "_BLOCK_ROWS", block_rows)
     monkeypatch.setattr(mc, "_CHUNK_ROWS", chunk_rows)
     for workers in (1, 2):
@@ -312,6 +312,9 @@ def test_block_grouping_bytes(block_rows, chunk_rows, monkeypatch):
             assert digest(emp.distribution.p_click) == PMF_DIGESTS[device, seed]
         for rule, expected in HERALD_DIGESTS.items():
             assert herald_digest(rule, workers) == expected
+    if chunk_rows == 97:
+        for kind, expected in JSON_DIGESTS.items():
+            assert json_digest(kind, tmp_path) == expected
 
 
 @pytest.mark.parametrize("source,per_block", [
@@ -325,7 +328,7 @@ def test_block_size(source, per_block, monkeypatch):
     def record(args):
         *_, first_batch, sizes = args
         blocks.append((first_batch, sizes))
-        return (np.zeros(0, np.int64), np.zeros(0), np.zeros(0, np.int32),
+        return (np.zeros(0, np.int32), np.zeros(0, np.int32), np.zeros(0),
                 np.zeros(sum(sizes), np.int64))
 
     monkeypatch.setattr(mc, "_batch_worker", record)
