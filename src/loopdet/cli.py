@@ -8,8 +8,7 @@
     loopdet postselect    heralded multi-photon reduction curve
 
 Exit codes: 0 success, 2 configuration/usage error or a file that cannot be
-opened, 3 model-domain error or a Monte Carlo run too large for memory (lower
-``--trials``), 4 data error.
+opened, 3 model-domain error or a run too large for memory, 4 data error.
 
 The parser is built once, at import, and every ``main`` call parses with it.
 ``channels --r-sweep`` and ``cm-curve`` each evaluate their whole grid in one
@@ -22,19 +21,17 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 
 import numpy as np
 
 from . import __version__
 from .calibrate import calibrate_from_channels, read_channel_csv
-from .clickstats import (ACCEPT_RULES, ClickDistribution, PhotonSource, _poisson_click_pmfs,
-                         multi_photon_content, source_multi_photon_content)
+from .clickstats import ACCEPT_RULES, PhotonSource, _poisson_click_pmfs, _ratio
 from .config import RunConfig, load_config
 from .device import _normalized, _series, channel_transmissions, total_transmission
 from .entropy import optimize_ratio
-from .errors import ConfigError, DataError, DomainError, UndefinedContentError
+from .errors import ConfigError, DataError, DomainError
 from .montecarlo import accumulate_histogram, histogram_to_json, run_simulation
 from .postselect import wm_curve
 
@@ -62,6 +59,9 @@ def _write_table(rows: list[list], columns: list[str], fmt: str, path) -> None:
 _OVERRIDES = (("seed", "seed"), ("trials", "n_trials"), ("workers", "workers"),
               ("format", "out_format"), ("out", "out_path"),
               ("reference_plane", "reference_plane"))
+#: Command -> the option that sets how much memory its run needs.
+_SIZE_OPTION = {"simulate-tof": "--trials", "channels": "--r-sweep", "cm-curve": "--mu-grid",
+                "postselect": "--mu-grid"}
 
 
 def _load(args) -> RunConfig:
@@ -123,19 +123,15 @@ def cmd_optimize(args) -> int:
 def cmd_cm_curve(args) -> int:
     cfg = _load(args)
     grid = _parse_grid(args.mu_grid, "mu")
-    profile = channel_transmissions(cfg.device, args.n_channels)
-    T = total_transmission(cfg.device) if cfg.reference_plane == "detected" else 1.0
-    mus = [PhotonSource.poissonian(mu).mu for mu in grid.tolist()]
-    rows = []
-    for mu, pmf in zip(mus, _poisson_click_pmfs(grid, profile.h)):
-        try:
-            cm_dev = multi_photon_content(ClickDistribution(pmf))
-            cm_src = source_multi_photon_content(PhotonSource.poissonian(mu * T))
-        except UndefinedContentError:  # mu = 0: nothing clicks
-            cm_dev = cm_src = math.nan
-        rows.append([mu, cm_dev, cm_src, cm_dev / cm_src if cm_src > 0.0 else math.nan])
-    _write_table(rows, ["mu", "cm_device", "cm_source", "ratio"],
-                 cfg.out_format, cfg.out_path)
+    mu = np.array([PhotonSource.poissonian(m).mu for m in grid.tolist()])
+    pmfs = _poisson_click_pmfs(mu, channel_transmissions(cfg.device, args.n_channels).h)
+    p_multi = pmfs[:, 2:].sum(axis=1)
+    cm_device = _ratio(p_multi, pmfs[:, 1] + p_multi)
+    x = mu * (total_transmission(cfg.device) if cfg.reference_plane == "detected" else 1.0)
+    p_some = -np.expm1(-x)  # the source's P(n >= 1) at the reference plane
+    cm_source = _ratio(p_some - x * np.exp(-x), p_some)
+    rows = np.column_stack([mu, cm_device, cm_source, _ratio(cm_device, cm_source)]).tolist()
+    _write_table(rows, ["mu", "cm_device", "cm_source", "ratio"], cfg.out_format, cfg.out_path)
     return EXIT_OK
 
 
@@ -266,7 +262,8 @@ def main(argv=None) -> int:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except MemoryError:
-        print("domain error: the run does not fit in memory; lower --trials", file=sys.stderr)
+        size = _SIZE_OPTION.get(args.command, "the input")
+        print(f"domain error: the run does not fit in memory; reduce {size}", file=sys.stderr)
         return EXIT_DOMAIN
 
 

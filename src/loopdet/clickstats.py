@@ -267,6 +267,11 @@ def custom_click_distribution(source: PhotonSource,
     return ClickDistribution(out, dropped_mass=max(1.0 - float(pmf.sum()), 0.0))
 
 
+def _ratio(num, den) -> np.ndarray:
+    """num / den elementwise, NaN where den is not positive: c_M with no events is undefined."""
+    return np.divide(num, den, out=np.full(np.shape(den), math.nan), where=den > 0.0)
+
+
 def multi_photon_content(dist: ClickDistribution) -> float:
     """c_M = pM / (p1 + pM): probability that a non-vacuum detection event
     involved more than one channel."""
@@ -279,15 +284,14 @@ def multi_photon_content(dist: ClickDistribution) -> float:
 def source_multi_photon_content(source: PhotonSource) -> float:
     """Multi-photon content of the bare source: P(n >= 2) / P(n >= 1)."""
     if source.kind == "poissonian":
-        if source.mu == 0.0:
-            raise UndefinedContentError("vacuum-only source")
         p_ge1 = -math.expm1(-source.mu)
-        return (p_ge1 - source.mu * math.exp(-source.mu)) / p_ge1
-    pmf = source.pmf_array()
-    p_ge1 = float(pmf[1:].sum())
+        p_ge2 = p_ge1 - source.mu * math.exp(-source.mu)
+    else:
+        pmf = source.pmf_array()
+        p_ge1, p_ge2 = float(pmf[1:].sum()), float(pmf[2:].sum())
     if p_ge1 <= 0.0:
         raise UndefinedContentError("vacuum-only source")
-    return float(pmf[2:].sum()) / p_ge1
+    return p_ge2 / p_ge1
 
 
 def infer_mu(p_nonvacuum: float, total_transmission: float) -> float:

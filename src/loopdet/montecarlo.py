@@ -443,7 +443,7 @@ def _window_clicks(p: DeviceParams, s: SimSettings, pulse, time, origin, n_chann
     noise by time), so that clicks sharing a window are adjacent and count once."""
     noise = np.flatnonzero(origin < 1)
     k = np.rint((time[noise] - s.time_offset_ns) / p.loop_delay_ns)  # nearest channel - 1
-    dist = np.abs(k * p.loop_delay_ns + s.time_offset_ns - time[noise])
+    dist = np.abs(_click_time(p, s, k + 1.0) - time[noise])
     hit = (dist <= 0.5 * p.duty_factor_q * p.loop_delay_ns) & (k >= 0) & (k < n_channels)
     channel = np.maximum(origin, 0)  # a noise click outside every window is in none
     channel[noise[hit]] = k[hit] + 1

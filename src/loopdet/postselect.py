@@ -13,12 +13,11 @@ conditioning kernel on one pmf, ``wm_curve`` on the pmfs of its whole mu grid.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .clickstats import ACCEPT_RULES, PhotonSource, _poisson_rows, binomial_matrix
+from .clickstats import ACCEPT_RULES, PhotonSource, _poisson_rows, _ratio, binomial_matrix
 from .device import ChannelProfile
 from .errors import NoAcceptanceError, ParameterError
 from .montecarlo import herald_acceptance_from_mc  # noqa: F401  the bench reaches it here
@@ -97,9 +96,8 @@ def _condition(pmfs, sizes, accept, transmission):
             row[:size] = _thin_pmf(row[:size], transmission)
     both, stop = np.concatenate([pmfs, out]), np.concatenate([sizes, sizes])
     ge1, ge2 = (_sums(both, k, stop).reshape(2, -1) for k in (1, 2))
-    cm_in, cm_out = np.divide(ge2, ge1, out=np.full_like(ge1, math.nan), where=ge1 > 0.0)
-    w_M = np.divide(cm_out, cm_in, out=np.full_like(cm_in, math.nan), where=cm_in > 0.0)
-    return np.where(fired, [cm_in, cm_out, w_M, rate], math.nan), out
+    cm_in, cm_out = _ratio(ge2, ge1)
+    return np.where(fired, [cm_in, cm_out, _ratio(cm_out, cm_in), rate], np.nan), out
 
 
 def postselect(source: PhotonSource, herald_profile: ChannelProfile,

@@ -460,21 +460,26 @@ class TestCmCurveCommand:
 
     @pytest.mark.parametrize("plane", ["input", "detected"])
     def test_rows_match_per_mu_distributions(self, capsys, tmp_path, plane):
+        # cm_device bit for bit; the source's closed form over the array
+        # differs from the scalar one in the last digits only.  mu = 800
+        # and 1e300 saturate to rows of 1.0, with no cut-off.
+        grid = ",".join(map(repr, np.linspace(0.001, 40, 25).tolist() + [800.0, 1e300]))
         out = tmp_path / "cm.csv"
-        assert run(capsys, "cm-curve", "--mu-grid", "0.001:40:25", "--reference-plane", plane,
+        assert run(capsys, "cm-curve", "--mu-grid", grid, "--reference-plane", plane,
                    "--out", str(out))[0] == EXIT_OK
         params = RunConfig().device
         profile = channel_transmissions(params, 15)
         scale = total_transmission(params) if plane == "detected" else 1.0
         rows = read_csv(out)
-        assert len(rows) == 25
+        assert len(rows) == 27
         for row in rows:
             mu = float(row["mu"])
             cm_dev = multi_photon_content(poisson_click_distribution(mu, profile))
             cm_src = source_multi_photon_content(PhotonSource.poissonian(mu * scale))
-            np.testing.assert_allclose(
-                [float(row[c]) for c in ("cm_device", "cm_source", "ratio")],
-                [cm_dev, cm_src, cm_dev / cm_src], rtol=1e-12, atol=0.0)
+            assert row["cm_device"] == repr(cm_dev)
+            np.testing.assert_allclose([float(row["cm_source"]), float(row["ratio"])],
+                                       [cm_src, cm_dev / cm_src], rtol=1e-12, atol=0.0)
+        assert [list(row.values())[1:] for row in rows[-2:]] == [["1.0"] * 3] * 2
 
     def test_vacuum_point_is_nan_row(self, capsys, tmp_path):
         # c_M is undefined at mu = 0; the point becomes a NaN row, as in
@@ -501,6 +506,18 @@ class TestCmCurveCommand:
         out = tmp_path / "cm.csv"
         code, _, err = run(capsys, "cm-curve", f"--mu-grid={grid}", "--out", str(out))
         assert code == EXIT_DOMAIN and "mu must be finite and >= 0" in err
+        assert not out.exists()
+
+    def test_out_of_memory_names_the_grid(self, capsys, tmp_path, monkeypatch):
+        # A grid too large for memory exits 3 with a hint at the grid, not
+        # at --trials, which cm-curve does not have.
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(loopdet.cli, "_poisson_click_pmfs", no_memory)
+        out = tmp_path / "cm.csv"
+        code, _, err = run(capsys, "cm-curve", "--mu-grid", "0:1:5", "--out", str(out))
+        assert code == EXIT_DOMAIN and "--mu-grid" in err and "--trials" not in err
         assert not out.exists()
 
 

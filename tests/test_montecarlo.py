@@ -101,6 +101,43 @@ class TestAgainstAnalytics:
         p = total_transmission(params) - profile.remainder
         assert abs(res.pulse.size / n - p) <= 5 * np.sqrt(p * (1 - p) / n)
 
+    @pytest.mark.parametrize("source", [PhotonSource.fock(3), PhotonSource.poissonian(2.0)],
+                             ids=["fock3", "poisson2"])
+    def test_click_pattern_law(self, source):
+        # With 4 channels the full click pattern has 16 values and an exact
+        # law.  Fock n, by inclusion-exclusion over the channels S that
+        # click: P(S) = sum_{U in S} (-1)^(|S|-|U|) (q + h(U))^n, with
+        # q = 1 - sum(h); Poisson: independent channels.  A G-test over
+        # them sees correlations between channels that marginals do not.
+        params, n = noiseless(reference_device()), 200_000
+        h = channel_transmissions(params, 4).h
+        res = run_simulation(source, params, n, seed=43, settings=SimSettings(max_channels=4))
+        bits = (np.arange(16)[:, None] >> np.arange(4)) & 1  # pattern S -> its channels
+        if source.kind == "fock":
+            subset = (np.arange(16)[None, :] & ~np.arange(16)[:, None]) == 0  # U within S
+            sign = (-1.0) ** (bits.sum(axis=1)[:, None] - bits.sum(axis=1)[None, :])
+            law = np.where(subset, sign, 0.0) @ (1.0 - h.sum() + bits @ h) ** source.n
+        else:
+            c = -np.expm1(-source.mu * h)
+            law = np.prod(np.where(bits == 1, c, 1.0 - c), axis=1)
+        pattern = np.bincount(res.pulse, weights=2.0 ** (res.origin - 1), minlength=n)
+        observed = np.bincount(pattern.astype(int), minlength=16)
+        possible = law > 1e-12  # Fock n: more than n channels is 0 up to rounding
+        assert observed[~possible].sum() == 0
+        observed, expected = observed[possible], n * law[possible]
+        small = expected < 5
+        if small.any():  # pooled into one cell
+            observed = np.r_[observed[~small], observed[small].sum()]
+            expected = np.r_[expected[~small], expected[small].sum()]
+        keep = observed > 0  # 0 ln 0 = 0
+        g = 2.0 * np.sum(observed[keep] * np.log(observed[keep] / expected[keep]))
+        # P(chi2_df > g) = Q(df / 2, g / 2), a finite sum for integer df.
+        df, y = observed.size - 1, g / 2
+        half = 0.5 * (df % 2)
+        tail = (math.erfc(math.sqrt(y)) if df % 2 else 0.0) + math.exp(-y) * sum(
+            y ** (j + half) / math.gamma(j + half + 1) for j in range(df // 2))
+        assert tail >= 0.5 * math.erfc(5 / math.sqrt(2))  # one-sided 5 sigma
+
     def test_click_distribution(self, quiet_run):
         params, result = quiet_run
         emp = empirical_click_distribution(result, n_channels=15)
