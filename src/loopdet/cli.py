@@ -92,8 +92,7 @@ def _parse_grid(spec: str, what: str) -> np.ndarray:
     return grid
 
 
-def cmd_channels(args) -> int:
-    cfg = _load(args)
+def cmd_channels(args, cfg: RunConfig) -> int:
     n = args.n_channels
     r = _parse_grid(args.r_sweep, "r") if args.r_sweep else args.r
     h, remainder = _series(cfg.device, n, r)
@@ -109,8 +108,7 @@ def cmd_channels(args) -> int:
     return EXIT_OK
 
 
-def cmd_optimize(args) -> int:
-    cfg = _load(args)
+def cmd_optimize(args, cfg: RunConfig) -> int:
     scan = optimize_ratio(cfg.device, normalized=args.normalized)
     print(f"r_star = {scan.r_star:.6f}")
     print(f"e_star = {scan.e_star:.6f} nats")
@@ -120,8 +118,7 @@ def cmd_optimize(args) -> int:
     return EXIT_OK
 
 
-def cmd_cm_curve(args) -> int:
-    cfg = _load(args)
+def cmd_cm_curve(args, cfg: RunConfig) -> int:
     grid = _parse_grid(args.mu_grid, "mu")
     mu = np.array([PhotonSource.poissonian(m).mu for m in grid.tolist()])
     pmfs = _poisson_click_pmfs(mu, channel_transmissions(cfg.device, args.n_channels).h)
@@ -135,8 +132,7 @@ def cmd_cm_curve(args) -> int:
     return EXIT_OK
 
 
-def cmd_simulate_tof(args) -> int:
-    cfg = _load(args)
+def cmd_simulate_tof(args, cfg: RunConfig) -> int:
     if cfg.seed is None:
         raise ConfigError("simulate-tof needs a seed (config [simulation] or --seed)")
     if cfg.source is None:
@@ -156,8 +152,7 @@ def cmd_simulate_tof(args) -> int:
     return EXIT_OK
 
 
-def cmd_calibrate(args) -> int:
-    cfg = _load(args)
+def cmd_calibrate(args, cfg: RunConfig) -> int:
     if args.input:
         H, sigma = read_channel_csv(args.input)
     elif args.channels:
@@ -179,8 +174,7 @@ def cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
-def cmd_postselect(args) -> int:
-    cfg = _load(args)
+def cmd_postselect(args, cfg: RunConfig) -> int:
     grid = _parse_grid(args.mu_grid, "mu")
     profile = channel_transmissions(cfg.device, args.n_channels)
     rows = wm_curve(grid, profile, rule=args.rule,
@@ -197,18 +191,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, help, mc=False):
+    def command(name, func, help):
         p = sub.add_parser(name, help=help)
         p.set_defaults(func=func)
         p.add_argument("--config", help="run-configuration file")
         p.add_argument("--format", choices=("csv", "json"))
         p.add_argument("--out", help="output path (default: stdout)")
-        if mc:
-            p.add_argument("--seed", type=int)
-            p.add_argument("--trials", type=int)
-            p.add_argument("--workers", type=int)
-            p.add_argument("--mu", type=float,
-                           help="Poissonian source mean (overrides config)")
         return p
 
     p = command("channels", cmd_channels, "channel transmission table")
@@ -226,8 +214,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-channels", type=int, default=15)
     p.add_argument("--reference-plane", choices=("input", "detected"))
 
-    command("simulate-tof", cmd_simulate_tof, "Monte Carlo time-of-flight histogram",
-            mc=True)
+    p = command("simulate-tof", cmd_simulate_tof, "Monte Carlo time-of-flight histogram")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--trials", type=int)
+    p.add_argument("--workers", type=int)
+    p.add_argument("--mu", type=float, help="Poissonian source mean (overrides config)")
 
     p = command("calibrate", cmd_calibrate, "loss calibration from channel data")
     p.add_argument("--input", help="CSV with columns k,H_k[,sigma_k]")
@@ -251,7 +242,7 @@ _PARSER = build_parser()
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, _load(args))
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -201,10 +201,11 @@ def _log_binomial(size: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _binomial_terms(log_c, d, p: float, t: float, keep) -> np.ndarray:
     """C(n, j) p^(n-j) t^j where ``keep``, else 0, exponentiated from its
-    logarithm, so C(n, j) never overflows as n! does, and 0^0 = 1."""
+    logarithm, so C(n, j) never overflows as n! does, and 0^0 = 1 for p and t."""
+    j = np.arange(d.shape[1])
     with np.errstate(divide="ignore", invalid="ignore"):
         log = (log_c + np.where(d == 0, 0.0, d * np.log(p))
-               + np.arange(d.shape[1]) * math.log(t))
+               + np.where(j == 0, 0.0, j * (math.log(t) if t else -math.inf)))
     return np.exp(np.where(keep, log, -np.inf))
 
 
@@ -215,10 +216,7 @@ def binomial_matrix(size: int, p: float, t: float = 1.0) -> np.ndarray:
     check("p", p, UNIT)
     check("t", t, UNIT)
     log_c, d = _log_binomial(size)
-    keep = d >= 0
-    if t == 0.0:  # t^j = 0 beyond column 0, where t^0 = 1 leaves p^n
-        keep[:, 1:], t = False, 1.0
-    return _binomial_terms(log_c, d, p, t, keep)
+    return _binomial_terms(log_c, d, p, t, d >= 0)
 
 
 def fock_click_matrix(n_max: int, profile: ChannelProfile) -> np.ndarray:

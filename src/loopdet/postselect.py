@@ -79,10 +79,13 @@ def _sums(rows, first, stop) -> np.ndarray:
     return np.add.reduce(rows, axis=1, where=(j >= first) & (j < stop[:, None]))
 
 
-def _condition(pmfs, sizes, accept, transmission):
-    """Pmf rows conditioned on P(accept | n): (cm_in, cm_out, w_M, herald_rate),
-    NaN where the rule never fires, and the output pmfs.  Row i is 0 from
-    n = sizes[i] on; its sums and thinning stop there, so it matches alone."""
+def _condition(pmfs, sizes, rule, profile, acceptance, transmission):
+    """Pmf rows conditioned on P(accept | n), the rule's on ``profile`` or the
+    checked table ``acceptance``: (cm_in, cm_out, w_M, herald_rate), NaN where
+    the rule never fires, and the output pmfs.  Row i is 0 from n = sizes[i]
+    on; its sums and thinning stop there, so it matches alone."""
+    accept = (acceptance_probability(rule, np.arange(pmfs.shape[1]), profile)
+              if acceptance is None else _checked_table(acceptance))
     if not 0.0 < transmission <= 1.0:
         raise ParameterError("signal_transmission must lie in (0, 1]")
     if accept.size < pmfs.shape[1]:
@@ -115,9 +118,8 @@ def postselect(source: PhotonSource, herald_profile: ChannelProfile,
     the source mass beyond the cut-off ``n_max``.
     """
     pmf = source.pmf_array(n_max)
-    accept = (acceptance_probability(rule, np.arange(pmf.size), herald_profile)
-              if acceptance is None else _checked_table(acceptance))
-    values, out = _condition(pmf[None], np.array([pmf.size]), accept, signal_transmission)
+    values, out = _condition(pmf[None], np.array([pmf.size]), rule, herald_profile, acceptance,
+                             signal_transmission)
     if not values[3, 0] > 0.0:
         raise NoAcceptanceError("accept rule never fires for this source")
     return PostselectResult(*values[:, 0].tolist(), conditioned_pmf=out[0],
@@ -136,9 +138,7 @@ def wm_curve(mu_grid, herald_profile: ChannelProfile,
     sources = [PhotonSource.poissonian(mu) for mu in mu_grid]
     cuts = np.array([source.n_max for source in sources], dtype=int)
     pmfs = _poisson_rows([source.mu for source in sources], cuts)
-    accept = (acceptance_probability(rule, np.arange(pmfs.shape[1]), herald_profile)
-              if acceptance is None else _checked_table(acceptance))
-    values, _ = _condition(pmfs, cuts + 1, accept, signal_transmission)
+    values, _ = _condition(pmfs, cuts + 1, rule, herald_profile, acceptance, signal_transmission)
     keys = [f.name for f in fields(PostselectResult)[:4]]  # the rows of _condition
     return [{"mu": source.mu, **dict(zip(keys, row))}
             for source, row in zip(sources, values.T.tolist())]

@@ -13,22 +13,35 @@ error measured on the same case (Python 3.11, numpy 2.4, x86-64).
 import time
 from fractions import Fraction
 from math import comb
+from typing import NamedTuple
 
 import numpy as np
+import pytest
 
-from loopdet import channel_transmissions, fock_click_matrix, reference_device
-from loopdet.clickstats import _poisson_click_pmfs
-from loopdet.postselect import acceptance_probability
+from loopdet import PhotonSource, channel_transmissions, fock_click_matrix, reference_device
+from loopdet.clickstats import ACCEPT_RULES, _poisson_click_pmfs, binomial_matrix
+from loopdet.postselect import acceptance_probability, postselect
 
 EPS = float(np.finfo(float).eps)
 #: The smallest normal double: below it a float has less than full precision.
 TINY = Fraction(np.finfo(float).tiny)
 
 #: Budgets in units of EPS, each about four times the error measured on its
-#: case: 14.8 (3.3e-15), 9.4 (2.1e-15) and 1.8 (4.0e-16).
+#: case: 14.8 (3.3e-15), 9.4 (2.1e-15), 1.8 (4.0e-16), 389.9 (8.7e-14) and
+#: 63.6 (1.4e-14).
 FOCK_BUDGET = 60
 EXACTLY_ONE_BUDGET = 40
 POISSON_BUDGET = 8
+BINOMIAL_BUDGET = 1600
+POSTSELECT_BUDGET = 250
+
+#: binomial_matrix's (p, t): every pair from {0, 0.2, 0.5, 1}, (0.2, 0.8), and
+#: THINNING, the pair postselect's thinning forms at signal_transmission = 0.8.
+THINNING = (1.0 - 0.8, 0.8)
+BINOMIAL_PAIRS = [(p, t) for p in (0.0, 0.2, 0.5, 1.0) for t in (0.0, 0.2, 0.5, 1.0)] + [
+    (0.2, 0.8), THINNING]
+#: The pinned ``postselect --mu-grid 0.5:5:10 --signal-transmission 0.8`` case.
+POSTSELECT_MUS = np.linspace(0.5, 5.0, 10).tolist()
 
 
 def profile(n_channels):
@@ -81,6 +94,49 @@ def poisson_binomial_oracle(c) -> list[Fraction]:
     return p
 
 
+class Ratio(NamedTuple):
+    """numerator / denominator, left unreduced: a large oracle's entries share
+    one denominator, and reducing each by a gcd would cost more than the rest."""
+    numerator: int
+    denominator: int
+
+
+def binomial_oracle(size: int, p: float, t: float) -> list[Ratio]:
+    """C(n, j) p^(n-j) t^j for 0 <= n, j < size, 0 above the diagonal: row
+    n + 1 is row n times (p + t z), so no factorial or logarithm is formed."""
+    (a, b), D = scaled([p, t])
+    row, out = [1], []
+    for n in range(size):
+        den = D ** n
+        out += [Ratio(x, den) for x in row] + [Ratio(0, 1)] * (size - 1 - n)
+        row = [a * x + b * y for x, y in zip(row + [0], [0] + row)]
+    return out
+
+
+def thinned_oracle(weights, p: float, t: float) -> tuple[list[int], int]:
+    """sum_n w_n C(n, j) p^(n-j) t^j for j < len(w), as integers over one
+    denominator: the coefficients of sum_n w_n (p + t z)^n by Horner's rule."""
+    (a, b), D = scaled([p, t])
+    w, W = scaled(weights)
+    poly = []
+    for n in reversed(range(len(w))):
+        poly = [a * x + b * y for x, y in zip(poly + [0], [0] + poly)]
+        poly[0] += w[n] * D ** (len(w) - 1 - n)
+    return poly, W * D ** (len(w) - 1)
+
+
+def condition_oracle(pmf, accept, transmission: float) -> list:
+    """cm_in, cm_out, w_M, the herald rate and the conditioned pmf of
+    ``postselect``, from its float pmf, acceptance table and transmission."""
+    pmf = [Fraction(x) for x in pmf.tolist()]
+    joint = [x * Fraction(a) for x, a in zip(pmf, accept.tolist())]
+    rate = sum(joint)
+    thinned, den = thinned_oracle(joint, 1.0 - transmission, transmission)
+    cm_in, cm_out = sum(pmf[2:]) / sum(pmf[1:]), Fraction(sum(thinned[2:]), sum(thinned[1:]))
+    out = [Ratio(x * rate.denominator, den * rate.numerator) for x in thinned]
+    return [cm_in, cm_out, cm_out / cm_in, rate, *out]
+
+
 def poisson_input(mu: float, h):
     """The kernel's float click probabilities c_k = 1 - exp(-mu h_k), its inputs."""
     return -np.expm1(-np.multiply.outer(mu, h))
@@ -88,14 +144,17 @@ def poisson_input(mu: float, h):
 
 def error(values, exact) -> float:
     """Largest relative error of ``values`` in units of EPS over the entries whose
-    exact value is a normal double; each smaller one must be within TINY of it."""
-    worst = Fraction(0)
+    exact value (a Fraction or a Ratio) is a normal double; each smaller one
+    must be within TINY of it."""
+    worst = 0.0
     for value, want in zip(np.ravel(values).tolist(), exact, strict=True):
-        if abs(want) >= TINY:
-            worst = max(worst, abs(Fraction(value) / want - 1))
+        (v, v_den), w, w_den = value.as_integer_ratio(), want.numerator, want.denominator
+        miss = abs(v * w_den - w * v_den)  # |value - want| * v_den * w_den, in integers
+        if abs(w) * TINY.denominator >= TINY.numerator * w_den:
+            worst = max(worst, miss / (abs(w) * v_den))
         else:
-            assert abs(Fraction(value) - want) <= TINY, (value, float(want))
-    return float(worst) / EPS
+            assert miss * TINY.denominator <= TINY.numerator * v_den * w_den, (value, float(want))
+    return worst / EPS
 
 
 def fock_case(n_max: int, n_channels: int):
@@ -115,6 +174,25 @@ def poisson_case(mu: float, n_channels: int):
     h = profile(n_channels).h
     return (lambda: _poisson_click_pmfs(mu, h),
             lambda: poisson_binomial_oracle(poisson_input(mu, h)))
+
+
+def binomial_case(size: int, p: float, t: float):
+    return lambda: binomial_matrix(size, p, t), lambda: binomial_oracle(size, p, t)
+
+
+def postselect_case(mu: float, rule: str, transmission: float = 0.8, n_channels: int = 15):
+    """``postselect`` on a Poisson source, and the oracle on its float inputs."""
+    source, prof = PhotonSource.poissonian(mu), profile(n_channels)
+
+    def kernel():
+        res = postselect(source, prof, rule, transmission)
+        return [res.cm_in, res.cm_out, res.w_M, res.herald_rate, *res.conditioned_pmf.tolist()]
+
+    def oracle():
+        pmf = source.pmf_array()
+        accept = acceptance_probability(rule, np.arange(pmf.size), prof)
+        return condition_oracle(pmf, accept, transmission)
+    return kernel, oracle
 
 
 def measured(case) -> float:
@@ -142,6 +220,25 @@ def test_poisson_click_pmf_within_budget():
     assert measured(poisson_case(4.26, 15)) <= POISSON_BUDGET
 
 
+def test_binomial_oracles_agree():
+    # Pascal rows and Horner's thinning are two routes to one matrix.
+    rows = binomial_oracle(9, *THINNING)
+    thinned, den = thinned_oracle([0] * 8 + [1], *THINNING)
+    assert [Fraction(x, den) for x in thinned] == [Fraction(*r) for r in rows[-9:]]
+    assert sum(Fraction(*r) for r in binomial_oracle(9, 0.5, 0.5)[-9:]) == 1
+
+
+def test_binomial_matrix_within_budget():
+    # Zero p or t takes 0^0 = 1 for the n = j or j = 0 entries.
+    assert max(measured(binomial_case(60, p, t))
+               for p, t in BINOMIAL_PAIRS) <= BINOMIAL_BUDGET
+
+
+@pytest.mark.parametrize("rule", ACCEPT_RULES)
+def test_postselect_thinning_within_budget(rule):
+    assert max(measured(postselect_case(mu, rule)) for mu in POSTSELECT_MUS) <= POSTSELECT_BUDGET
+
+
 #: The test cases first, then larger ones whose exact side ends within a minute.
 CASES = [
     ("fock_click_matrix", fock_case, "n <= {}, {} channels",
@@ -150,6 +247,11 @@ CASES = [
      [(59, 15), (200, 15), (1000, 15), (1000, 60)]),
     ("_poisson_click_pmfs", poisson_case, "mu = {}, {} channels",
      [(4.26, 15), (4.26, 60), (50.0, 60), (700.0, 60)]),
+    ("binomial_matrix", binomial_case, "n < {}, p, t = {:.2g}, {:.2g}",
+     [(60, *THINNING), (200, *THINNING), (1000, *THINNING), (1000, 0.5, 0.5)]),
+    ("postselect, t = 0.8", postselect_case, "mu = {}, {}",
+     [(5.0, "one-or-more"), (50.0, "one-or-more"), (700.0, "one-or-more"),
+      (700.0, "exactly-one")]),
 ]
 
 

@@ -6,6 +6,7 @@ import dataclasses
 import heapq
 import math
 import os
+import statistics
 import tracemalloc
 
 import numpy as np
@@ -22,6 +23,7 @@ from loopdet import (
     custom_click_distribution,
     empirical_click_distribution,
     false_cm_bound,
+    fock_click_matrix,
     poisson_click_distribution,
     reference_device,
     run_simulation,
@@ -83,6 +85,49 @@ class TestAgainstAnalytics:
         origin = run_simulation(PhotonSource.fock(1), params, n, seed=31).origin
         counts = np.bincount(origin, minlength=9)[1:9]
         assert np.all(np.abs(counts - n * h) <= 5 * np.sqrt(n * h * (1 - h)))
+
+    def test_conserving_coupler_sweep(self):
+        # Twelve noise-free devices whose couplers create no light: six
+        # random four-t_ij couplers, t24 = 0, t14 = 0 and t23 = 0, a lossless
+        # loop (theta = tl = 1, t23 + t24 = 1), one where a t14 <-> t23 swap
+        # would clip the loop interval (theta * (t14 * eta + t24 * tl) > 1),
+        # and the reference coupler.  Fock 1, Fock 3 and a custom pmf run on
+        # each, 4 channels, 50,000 pulses.  Every channel's occupation and
+        # every cell of the click pmf must match the source mixed over
+        # fock_click_matrix; a cell the model gives 0 must be empty, and the
+        # z-scores of the rest share one two-sided 5 sigma false-alarm rate
+        # (Bonferroni).  Smallest expected count: 6.
+        base, rng = dict(t0=0.95, theta=0.97, tl=0.93, eta=0.8), np.random.default_rng(2026)
+        couplers = [CouplerSetting(u13, u14 * (1 - u13), u23, u24 * (1 - u23))
+                    for u13, u14, u23, u24 in rng.uniform(0.1, 0.9, size=(6, 4))]
+        couplers += [CouplerSetting(0.3, 0.6, 0.5, 0.0), CouplerSetting(0.7, 0.0, 0.4, 0.5),
+                     CouplerSetting(0.4, 0.5, 0.0, 0.9)]
+        devices = [DeviceParams(**base, coupler=c) for c in couplers] + [
+            DeviceParams(t0=0.95, theta=1.0, tl=1.0, eta=0.8,
+                         coupler=CouplerSetting(0.3, 0.7, 0.4, 0.6)),
+            DeviceParams(t0=0.95, theta=0.99, tl=0.99, eta=0.95,
+                         coupler=CouplerSetting(0.1, 0.85, 0.1, 0.88)),
+            reference_device()]
+        sources = [PhotonSource.fock(1), PhotonSource.fock(3),
+                   PhotonSource.custom([0.2, 0.3, 0.1, 0.4])]
+        K, n, z = 4, 50_000, []
+        for i, params in enumerate(map(noiseless, devices)):
+            profile = channel_transmissions(params, K)
+            for source in sources:
+                res = run_simulation(source, params, n, seed=100 + i,
+                                     settings=SimSettings(max_channels=K))
+                w = source.pmf_array()
+                occupation = w @ -np.expm1(np.arange(w.size)[:, None] * np.log1p(-profile.h))
+                pmf = w @ fock_click_matrix(w.size - 1, profile)
+                for observed, p in ((np.bincount(res.origin, minlength=K + 1)[1:], occupation),
+                                    (np.bincount(np.bincount(res.pulse, minlength=n),
+                                                 minlength=K + 1), pmf)):
+                    assert observed[p == 0].sum() == 0, (i, source)
+                    p, observed = p[p > 0], observed[p > 0]
+                    z += ((observed - n * p) / np.sqrt(n * p * (1 - p))).tolist()
+        # m tests at |z| <= z_max: m * P(|Z| > z_max) = P(|Z| > 5).
+        z_max = statistics.NormalDist().inv_cdf(1 - math.erfc(5 / math.sqrt(2)) / (2 * len(z)))
+        assert max(map(abs, z)) <= z_max
 
     def test_max_channels_truncation(self):
         # Photons still looping after the last simulated channel are
