@@ -3,8 +3,8 @@
 Given input photon statistics and a channel profile, these routines give
 the exact distribution of the number of *distinct* channels that click in
 one pulse, and the derived quantities p0, p1, pM and the multi-photon
-content c_M = pM / (p1 + pM).  Every log-factorial comes from one table,
-``_LOG_FACT``, built at import; a click matrix builds its log-binomials once.
+content c_M = pM / (p1 + pM).  Binomial and click matrices are sums of
+products by Pascal's rule; only the Poisson pmfs take log-factorials.
 """
 
 from __future__ import annotations
@@ -109,9 +109,11 @@ class PhotonSource:
 #: n or the last custom pmf entry.  The Monte Carlo holds about 4 bytes per
 #: photon of a block (its pulse index), which is one 8,192-pulse batch or at
 #: most 2**17 expected pulses plus photons, so 1,000 photons per pulse trace
-#: about 32 MiB; the click kernel's (n+1) x (n+1) binomial matrices take 8 MB.
+#: about 32 MiB.  An (n+1) x (n+1) binomial matrix takes 8 MB, and its
+#: entries stay at most 2^n, finite while n < 1024.
 MAX_PHOTONS = 1000
-#: log(n!) for n = 0..MAX_PHOTONS, built once at import (8 KB) and sliced.
+#: log(n!) for n = 0..MAX_PHOTONS, built once at import (8 KB) and sliced: a
+#: Poisson product recurrence would start at e^-mu, subnormal above mu = 708.
 _LOG_FACT = np.array([math.lgamma(n + 1.0) for n in range(MAX_PHOTONS + 1)])
 
 
@@ -191,32 +193,19 @@ def _poisson_click_pmfs(mu, h: np.ndarray) -> np.ndarray:
     return p
 
 
-def _log_binomial(size: int) -> tuple[np.ndarray, np.ndarray]:
-    """log C(n, j) and d = n - j for 0 <= n, j < size; callers mask d < 0."""
-    n = np.arange(size)
-    d = n[:, None] - n[None, :]
-    log_fact = _LOG_FACT[:size]
-    return log_fact[:, None] - log_fact[None, :] - log_fact[np.abs(d)], d
-
-
-def _binomial_terms(log_c, d, p: float, t: float, keep) -> np.ndarray:
-    """C(n, j) p^(n-j) t^j where ``keep``, else 0, exponentiated from its
-    logarithm, so C(n, j) never overflows as n! does, and 0^0 = 1 for p and t."""
-    j = np.arange(d.shape[1])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log = (log_c + np.where(d == 0, 0.0, d * np.log(p))
-               + np.where(j == 0, 0.0, j * (math.log(t) if t else -math.inf)))
-    return np.exp(np.where(keep, log, -np.inf))
-
-
 def binomial_matrix(size: int, p: float, t: float = 1.0) -> np.ndarray:
-    """M[n, j] = C(n, j) p^(n-j) t^j for j <= n < size <= MAX_PHOTONS + 1, else 0."""
+    """M[n, j] = C(n, j) p^(n-j) t^j for j <= n < size <= MAX_PHOTONS + 1, else 0, by
+    Pascal's rule: row n is row n - 1 times (p + t z), sums of nonnegative products
+    with no factorial, log or power formed, and does not depend on ``size``."""
     size = _check_photons(check("size", size, POSITIVE_INT) - 1,
                           f"a binomial matrix of size {size}") + 1
-    check("p", p, UNIT)
-    check("t", t, UNIT)
-    log_c, d = _log_binomial(size)
-    return _binomial_terms(log_c, d, p, t, d >= 0)
+    p, t = check("p", p, UNIT), check("t", t, UNIT)
+    M = np.zeros((size, size))
+    M[0, 0] = 1.0
+    for n in range(1, size):
+        M[n, :n + 1] = p * M[n - 1, :n + 1]
+        M[n, 1:n + 1] += t * M[n - 1, :n]
+    return M
 
 
 def fock_click_matrix(n_max: int, profile: ChannelProfile) -> np.ndarray:
@@ -231,13 +220,13 @@ def fock_click_matrix(n_max: int, profile: ChannelProfile) -> np.ndarray:
     """
     size = _check_photons(n_max, f"n_max = {n_max}") + 1
     h = profile.h
-    log_c, d = _log_binomial(size)
-    moved = d > 0  # at least one photon into channel k
     G = np.zeros((size, h.size + 1))
     G[0, 0] = 1.0
     for h_k in h:
-        G[:, 1:] += _binomial_terms(log_c, d, h_k, 1.0, moved) @ G[:, :-1]
-    return _binomial_terms(log_c, d, max(1.0 - float(h.sum()), 0.0), 1.0, d >= 0) @ G
+        moved = binomial_matrix(size, h_k)
+        np.fill_diagonal(moved, 0.0)  # at least one photon into channel k
+        G[:, 1:] += moved @ G[:, :-1]
+    return binomial_matrix(size, max(1.0 - float(h.sum()), 0.0)) @ G
 
 
 def fock_click_distribution(n: int, profile: ChannelProfile) -> ClickDistribution:

@@ -58,11 +58,6 @@ class PostselectResult:
     dropped_mass: float = 0.0  # source mass beyond the photon-number cut-off
 
 
-def _thin_pmf(pmf: np.ndarray, transmission: float) -> np.ndarray:
-    """Binomial loss applied to a photon-number pmf."""
-    return pmf @ binomial_matrix(pmf.size, 1.0 - transmission, transmission)
-
-
 def _checked_table(acceptance) -> np.ndarray:
     """An external P(accept | n) table: 1-d floats, each finite and in [0, 1]."""
     accept = np.asarray(acceptance, dtype=float)
@@ -94,9 +89,10 @@ def _condition(pmfs, sizes, rule, profile, acceptance, transmission):
     rate = _sums(joint, 0, sizes)
     fired = rate > 0.0
     out = np.divide(joint, rate[:, None], out=np.zeros_like(joint), where=fired[:, None])
-    if transmission < 1.0:
+    if transmission < 1.0:  # binomial loss; row n of the matrix does not depend on its size
+        thin = binomial_matrix(pmfs.shape[1], 1.0 - transmission, transmission)
         for row, size in zip(out, sizes):
-            row[:size] = _thin_pmf(row[:size], transmission)
+            row[:size] = row[:size] @ thin[:size, :size]
     both, stop = np.concatenate([pmfs, out]), np.concatenate([sizes, sizes])
     ge1, ge2 = (_sums(both, k, stop).reshape(2, -1) for k in (1, 2))
     cm_in, cm_out = _ratio(ge2, ge1)

@@ -140,9 +140,8 @@ class TestFockClickDistribution:
         assert np.all(np.triu(P, k=1) == 0.0)
 
     def test_rows_finite_and_normalised_at_the_ceiling(self, ref_params):
-        # Each log C(n, j) is a difference of log-factorials up to log(1000!)
-        # ~ 5912, so its absolute error, and the relative error of each term
-        # after exp, is about eps * log(n!): 1.3e-12 at n = 1000.
+        # Rows normalised within eps * log(n!) at every n; tests/test_exact.py
+        # holds the n = 1000 sums to 1e-13 by fsum.
         P = fock_click_matrix(MAX_PHOTONS, channel_transmissions(ref_params, 15))
         assert np.all(np.isfinite(P)) and np.all(P >= 0.0)
         bound = 1e-14 + 2 * np.finfo(float).eps * _LOG_FACT

@@ -12,7 +12,7 @@ error measured on the same case (Python 3.11, numpy 2.4, x86-64).
 
 import time
 from fractions import Fraction
-from math import comb
+from math import comb, fsum
 from typing import NamedTuple
 
 import numpy as np
@@ -27,13 +27,14 @@ EPS = float(np.finfo(float).eps)
 TINY = Fraction(np.finfo(float).tiny)
 
 #: Budgets in units of EPS, each about four times the error measured on its
-#: case: 14.8 (3.3e-15), 9.4 (2.1e-15), 1.8 (4.0e-16), 389.9 (8.7e-14) and
-#: 63.6 (1.4e-14).
-FOCK_BUDGET = 60
+#: case: 5.6 (1.2e-15), 9.4 (2.1e-15), 1.8 (4.0e-16), 4.0 (9.0e-16) and 2.6
+#: (5.9e-16).  FOCK_BUDGET is about twice its 5.6, below the 14.8 of the
+#: log-factorial kernel that Pascal's rule replaced.
+FOCK_BUDGET = 12
 EXACTLY_ONE_BUDGET = 40
 POISSON_BUDGET = 8
-BINOMIAL_BUDGET = 1600
-POSTSELECT_BUDGET = 250
+BINOMIAL_BUDGET = 16
+POSTSELECT_BUDGET = 11
 
 #: binomial_matrix's (p, t): every pair from {0, 0.2, 0.5, 1}, (0.2, 0.8), and
 #: THINNING, the pair postselect's thinning forms at signal_transmission = 0.8.
@@ -200,6 +201,23 @@ def measured(case) -> float:
     return error(kernel(), oracle())
 
 
+def row_sum_deviation(matrix) -> float:
+    """Largest |row sum - 1|, each sum exact before its one rounding; fsum
+    takes a row's largest entries first, which keeps its partial sums few."""
+    return max(abs(fsum(row) - 1.0) for row in (-np.sort(-matrix)).tolist())
+
+
+#: Two matrices at n = 1,000 whose rows must each sum to 1, with the largest
+#: |fsum(row) - 1| allowed: about four times the measured 2.5e-14 and 4.4e-16
+#: (the log-factorial kernel gave 1.2e-12 and 1.3e-12).
+ROW_SUMS = {
+    "fock_click_matrix, n <= 1000, 6 channels":
+        (lambda: fock_click_matrix(1000, profile(6)), 1e-13),
+    "binomial_matrix, n < 1001, p, t = 0.5, 0.5":
+        (lambda: binomial_matrix(1001, 0.5, 0.5), 2e-15),
+}
+
+
 def test_oracles_are_distributions():
     h = profile(6).h
     P = fock_oracle(8, h)
@@ -239,6 +257,11 @@ def test_postselect_thinning_within_budget(rule):
     assert max(measured(postselect_case(mu, rule)) for mu in POSTSELECT_MUS) <= POSTSELECT_BUDGET
 
 
+def test_rows_sum_to_one_at_the_ceiling():
+    for matrix, bound in ROW_SUMS.values():
+        assert row_sum_deviation(matrix()) <= bound
+
+
 #: The test cases first, then larger ones whose exact side ends within a minute.
 CASES = [
     ("fock_click_matrix", fock_case, "n <= {}, {} channels",
@@ -268,3 +291,6 @@ if __name__ == "__main__":
             err = error(values, exact)
             print(f"{kernel:24} {label.format(*size):24} {err:11.1f} {err * EPS:8.1e} "
                   f"{t_kernel * 1e3:7.2f} ms {t_exact:6.2f} s")
+    print(f"\n{'row sums':49} {'max |fsum - 1|':>14}")
+    for label, (matrix, _) in ROW_SUMS.items():
+        print(f"{label:49} {row_sum_deviation(matrix()):14.1e}")

@@ -18,8 +18,10 @@ test_block_grouping_bytes[one-batch-per-block], [one-block] and
 [chunk-97]; and in tests/test_cli.py the six test_postselect_output_bytes
 cases and TestOptimizeCommand::test_output_bytes[] and [--normalized].
 Every noise-free pin holds on either target: the router only compares
-uniforms.  test_cross_target_agreement checks that relation on a small
-noisy run and two wm_curve grids.  A change that must alter the
+uniforms.  binomial_matrix and fock_click_matrix hold bit for bit on
+either target too: Pascal's rule forms only products and sums.
+test_cross_target_agreement checks those relations on a small noisy run,
+two wm_curve grids and the two click matrices.  A change that must alter the
 stream says so and updates the digests in the same change:
 
     PYTHONPATH=src python tests/test_golden.py          # print old -> new
@@ -371,12 +373,14 @@ AVX512_OFF = "AVX512_SPR AVX512_ICL X86_V4"
 
 #: A small noisy run and two 10-point wm_curve grids (unit and 0.8 signal
 #: transmission), whose floats pass through numpy's exp, expm1, log, log1p
-#: and power, saved with whether numpy dispatches its AVX-512 kernels.
+#: and power, and the thinning and 15-channel click matrices, which do not;
+#: saved with whether numpy dispatches its AVX-512 kernels.
 CROSS_TARGET_RUN = """
 import sys
 import numpy as np
 from numpy._core._multiarray_umath import __cpu_features__
 from loopdet import PhotonSource, channel_transmissions, reference_device, run_simulation
+from loopdet.clickstats import binomial_matrix, fock_click_matrix
 from loopdet.postselect import wm_curve
 params = reference_device(dark_prob_per_bin=2e-5, afterpulse_prob=0.08)
 run = run_simulation(PhotonSource.poissonian(2.13), params, 50_000, seed=7)
@@ -384,19 +388,22 @@ profile = channel_transmissions(params, 15)
 wm = [list(row.values()) for t in (1.0, 0.8)
       for row in wm_curve(np.linspace(0.5, 5.0, 10), profile, signal_transmission=t)]
 np.savez(sys.argv[1], avx512=__cpu_features__["AVX512_SKX"], pulse=run.pulse,
-         origin=run.origin, time=run.time_ns, wm=np.array(wm))
+         origin=run.origin, time=run.time_ns, wm=np.array(wm),
+         binomial=binomial_matrix(1001, 1 - 0.8, 0.8),
+         fock=fock_click_matrix(200, channel_transmissions(reference_device(), 15)))
 """
 
 #: Largest distance in ulp between the two targets' floats: measured 2 for
-#: the times (104 of 46,277 differ) and 3 for the wm_curve values (41 of 100
+#: the times (104 of 46,277 differ) and 2 for the wm_curve values (39 of 100
 #: differ), with a margin of twice that.
 TIME_ULPS = 4
-WM_ULPS = 6
+WM_ULPS = 4
 
 
 def test_cross_target_agreement(tmp_path):
     # The contract across SIMD targets: with numpy's AVX-512 kernels off the
-    # integer columns are identical and every float is within a few ulp.
+    # integer columns and the click matrices are identical, and every other
+    # float is within a few ulp.
     features = pytest.importorskip("numpy._core._multiarray_umath").__cpu_features__
     if not features.get("AVX512_SKX"):
         pytest.skip("numpy dispatches no AVX-512 kernels here")
@@ -411,6 +418,8 @@ def test_cross_target_agreement(tmp_path):
     assert on["avx512"] and not off["avx512"]
     assert np.array_equal(on["pulse"], off["pulse"])
     assert np.array_equal(on["origin"], off["origin"])
+    for key in ("binomial", "fock"):
+        assert on[key].tobytes() == off[key].tobytes(), key
     for key, bound in (("time", TIME_ULPS), ("wm", WM_ULPS)):
         assert np.all(on[key] > 0.0) and np.all(off[key] > 0.0)  # so ulp = bit-pattern distance
         assert np.abs(on[key].view(np.int64) - off[key].view(np.int64)).max() <= bound, key

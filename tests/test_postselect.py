@@ -21,12 +21,11 @@ from loopdet import (
     source_multi_photon_content,
     wm_curve,
 )
-from loopdet.clickstats import MAX_PHOTONS, fock_click_matrix
+from loopdet.clickstats import MAX_PHOTONS, binomial_matrix, fock_click_matrix
 from loopdet import reference_device
 from loopdet.postselect import (
     ACCEPT_RULES,
     _sums,
-    _thin_pmf,
     acceptance_probability,
     herald_acceptance_from_mc,
 )
@@ -226,7 +225,7 @@ class TestPostselect:
             for n, w in enumerate(pmf):
                 for m in range(n + 1):
                     oracle[m] += w * math.comb(n, m) * t ** m * (1 - t) ** (n - m)
-            assert _thin_pmf(pmf, t) == pytest.approx(oracle, abs=1e-15)
+            assert pmf @ binomial_matrix(pmf.size, 1 - t, t) == pytest.approx(oracle, abs=1e-15)
 
     def test_never_accepting_raises(self):
         with pytest.raises(NoAcceptanceError):
@@ -393,7 +392,9 @@ class TestWmCurve:
             pmf = PhotonSource.poissonian(mu).pmf_array()
             joint = pmf * acceptance_probability(rule, np.arange(pmf.size), prof)
             rate = joint.sum()
-            out = joint / rate if transmission == 1.0 else _thin_pmf(joint / rate, transmission)
+            out = joint / rate
+            if transmission < 1.0:
+                out = out @ binomial_matrix(out.size, 1.0 - transmission, transmission)
             cm_in, cm_out = (p[2:].sum() / p[1:].sum() if p[1:].sum() > 0 else math.nan
                              for p in (pmf, out))
             expected = np.array([cm_in, cm_out, cm_out / cm_in if cm_in > 0 else math.nan, rate])
